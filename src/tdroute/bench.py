@@ -11,18 +11,13 @@ Wall time is recorded as secondary data.
 Every strategy in a cell must produce the same costs (relative tolerance
 1e-9) and identical arrival intervals; a mismatch raises
 :class:`ChecksumMismatch` so divergent code is never benchmarked.
-
-Cells may run in parallel threads (``TDROUTE_THREADS``); records are
-merged in deterministic (K, strategy) order regardless.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .model import CONSTANT, LINEAR, STATIC, Arc, SpeedProfile, TdGraph, TimeDivision
@@ -108,14 +103,9 @@ class BenchRecord:
 
 def run_sweep(config: SweepConfig) -> list[BenchRecord]:
     """All cells of the sweep, ordered by (K, strategy position)."""
-    threads = _thread_budget()
-    ks = sorted(config.k_values)
-    if threads <= 1 or len(ks) <= 1:
-        cells = [run_cell(k, config) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda k: run_cell(k, config), ks))
-    return [record for cell in cells for record in cell]
+    return [
+        record for k in sorted(config.k_values) for record in run_cell(k, config)
+    ]
 
 
 def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
@@ -251,12 +241,3 @@ def _shortest_span(profile, division, kind):
         for i in range(division.intervals)
     )
 
-
-def _thread_budget() -> int:
-    raw = os.environ.get("TDROUTE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

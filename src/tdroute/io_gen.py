@@ -19,7 +19,6 @@ Twister MT19937), so a seed fully determines the output.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +34,7 @@ from .model import (
     SpeedProfile,
     TdGraph,
     TimeDivision,
+    check_arc,
 )
 
 FORMAT_VERSION = "1"
@@ -146,12 +146,10 @@ def _parse(text: str) -> tuple[TdGraph | None, list[GraphFormatError]]:
                 number,
             )
         breakpoints = tuple(_parse_float(t, number) for t in tokens[2:])
-        if breakpoints[0] != 0.0:
-            raise GraphFormatError("first breakpoint must be 0", number)
-        for left, right in zip(breakpoints, breakpoints[1:]):
-            if not (math.isfinite(right) and left < right):
-                raise GraphFormatError("non-increasing breakpoints", number)
-        division = TimeDivision(breakpoints)
+        try:
+            division = TimeDivision(breakpoints)
+        except ValueError as error:
+            raise GraphFormatError(str(error), number) from None
 
         number, tokens = take("nodes")
         if len(tokens) != 2 or tokens[0] != "nodes":
@@ -171,13 +169,10 @@ def _parse(text: str) -> tuple[TdGraph | None, list[GraphFormatError]]:
 
     errors: list[GraphFormatError] = []
     arcs: list[Arc] = []
-    speeds_needed = intervals if kind == CONSTANT else intervals + 1
     for _ in range(arc_count):
         try:
             number, tokens = take("arc")
-            arcs.append(
-                _parse_arc(tokens, number, kind, policy, nodes, speeds_needed)
-            )
+            arcs.append(_parse_arc(tokens, number, kind, policy, nodes, intervals))
         except GraphFormatError as error:
             errors.append(error)
             if cursor >= len(lines):
@@ -195,39 +190,20 @@ def _parse_arc(
     kind: str,
     policy: str,
     nodes: int,
-    speeds_needed: int,
+    intervals: int,
 ) -> Arc:
     if len(tokens) < 4 or tokens[0] != "arc":
         raise GraphFormatError("malformed arc line", number)
     src = _parse_int(tokens[1], number)
     dst = _parse_int(tokens[2], number)
-    if not (0 <= src < nodes and 0 <= dst < nodes):
-        raise GraphFormatError("node id out of range", number)
-    if src == dst:
-        raise GraphFormatError("self-loop arc", number)
     length = _parse_float(tokens[3], number)
-    if not (math.isfinite(length) and length > 0.0):
-        raise GraphFormatError("non-positive arc length", number)
     speeds = tuple(_parse_float(t, number) for t in tokens[4:])
-    if len(speeds) != speeds_needed:
-        raise GraphFormatError(
-            f"speed count mismatch: expected {speeds_needed}, "
-            f"got {len(speeds)}",
-            number,
-        )
-    for v in speeds:
-        if not (math.isfinite(v) and v > 0.0):
-            raise GraphFormatError("non-positive speed", number)
-    if (
-        kind == LINEAR
-        and policy == PERIODIC
-        and abs(speeds[0] - speeds[-1]) > 1e-9
-    ):
-        raise GraphFormatError(
-            "periodic linear profile must begin and end at the same speed",
-            number,
-        )
-    return Arc(src, dst, length, SpeedProfile(kind, speeds))
+    try:
+        arc = Arc(src, dst, length, SpeedProfile(kind, speeds))
+        check_arc(arc, nodes, intervals, policy)
+    except ValueError as error:
+        raise GraphFormatError(str(error), number) from None
+    return arc
 
 
 def _parse_int(token: str, number: int) -> int:

@@ -131,25 +131,9 @@ class TdGraph:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
         for index, arc in enumerate(self.arcs):
-            if arc.src >= self.nodes or arc.dst >= self.nodes:
-                raise ValueError("node id out of range")
             if arc.profile.kind != self.kind:
                 raise ValueError("arc profile kind does not match the graph")
-            expected = arc.profile.expected_values(self.division.intervals)
-            if len(arc.profile.values) != expected:
-                raise ValueError(
-                    f"speed count mismatch: expected {expected}, "
-                    f"got {len(arc.profile.values)}"
-                )
-            if (
-                self.policy == PERIODIC
-                and self.kind == LINEAR
-                and abs(arc.profile.values[0] - arc.profile.values[-1])
-                > SEAM_TOLERANCE
-            ):
-                raise ValueError(
-                    "periodic linear profile must begin and end at the same speed"
-                )
+            check_arc(arc, self.nodes, self.division.intervals, self.policy)
             outgoing[arc.src].append(index)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
@@ -195,13 +179,44 @@ def locate_interval(
     return bisect_right(points, t) - 1
 
 
+def check_arc(arc: Arc, nodes: int, intervals: int, policy: str) -> None:
+    """Raise ValueError unless ``arc`` fits a graph with ``nodes`` nodes, a
+    ``intervals``-interval division and the horizon ``policy``.
+
+    These are the arc invariants that need the graph; :class:`Arc` and
+    :class:`SpeedProfile` check the rest on construction.
+    """
+    if arc.src >= nodes or arc.dst >= nodes:
+        raise ValueError("node id out of range")
+    values = arc.profile.values
+    expected = arc.profile.expected_values(intervals)
+    if len(values) != expected:
+        raise ValueError(
+            f"speed count mismatch: expected {expected}, got {len(values)}"
+        )
+    if (
+        policy == PERIODIC
+        and arc.profile.kind == LINEAR
+        and abs(values[0] - values[-1]) > SEAM_TOLERANCE
+    ):
+        raise ValueError(
+            "periodic linear profile must begin and end at the same speed"
+        )
+
+
 def linear_coeffs(
     profile: SpeedProfile, division: TimeDivision, k: int
 ) -> tuple[float, float]:
     """Slope (m/s^2) and intercept (m/s) of the speed line in interval k."""
-    points = division.breakpoints
+    return speed_line(profile.values, division.breakpoints, k)
+
+
+def speed_line(
+    values: tuple[float, ...], points: tuple[float, ...], k: int
+) -> tuple[float, float]:
+    """:func:`linear_coeffs` from the breakpoint speeds and breakpoints."""
     t0, t1 = points[k], points[k + 1]
-    v0, v1 = profile.values[k], profile.values[k + 1]
+    v0, v1 = values[k], values[k + 1]
     span = t1 - t0
     return (v1 - v0) / span, (v0 * t1 - v1 * t0) / span
 

@@ -35,11 +35,9 @@ from .traversal import (
     AelTable,
     OpCounter,
     TraversalResult,
-    att,
-    att_linear,
-    bounded_fatt,
-    fatt,
-    l_fatt,
+    _check_departure,
+    _scan,
+    _search,
 )
 
 ATT = "att"
@@ -151,6 +149,16 @@ def traverse_arc(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """One arc traversal through the strategy dispatch (debug-level query)."""
+    strategy = _check_strategy(graph, ael, strategy)
+    if not 0 <= arc_index < graph.arc_count:
+        raise ValueError(f"arc index {arc_index} out of range")
+    _check_departure(departure)
+    evaluate = _evaluator(graph, ael, strategy, counter)
+    return evaluate(graph.arcs[arc_index], arc_index, departure, hint)
+
+
+def _check_strategy(graph: TdGraph, ael: AelTable | None, strategy: str) -> str:
+    """The strategy name, normalised, once it is known to suit the graph."""
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -161,10 +169,7 @@ def traverse_arc(
         )
     if strategy in _NEEDS_TABLE and ael is None:
         raise ValueError(f"strategy {strategy!r} needs a prefix table")
-    if not 0 <= arc_index < graph.arc_count:
-        raise ValueError(f"arc index {arc_index} out of range")
-    evaluate = _evaluator(graph, ael, strategy, counter or OpCounter())
-    return evaluate(graph.arcs[arc_index], arc_index, departure, hint)
+    return strategy
 
 
 def _run(
@@ -175,20 +180,10 @@ def _run(
     strategy: str,
     stop_at: int | None,
 ) -> RouteResult:
-    strategy = strategy.lower()
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if _KIND_OF_STRATEGY[strategy] != graph.kind:
-        raise ValueError(
-            f"strategy {strategy!r} requires {_KIND_OF_STRATEGY[strategy]} "
-            f"profiles, graph has {graph.kind}"
-        )
-    if strategy in _NEEDS_TABLE and ael is None:
-        raise ValueError(f"strategy {strategy!r} needs a prefix table")
+    strategy = _check_strategy(graph, ael, strategy)
     if not 0 <= source < graph.nodes:
         raise ValueError("node id out of range")
-    if departure < 0.0:
-        raise ValueError("departure instant must be non-negative")
+    _check_departure(departure)
 
     counter = OpCounter()
     evaluate = _evaluator(graph, ael, strategy, counter)
@@ -242,28 +237,24 @@ def _evaluator(
     graph: TdGraph,
     ael: AelTable | None,
     strategy: str,
-    counter: OpCounter,
+    counter: OpCounter | None,
 ) -> Callable[[Arc, int, float, int | None], TraversalResult]:
+    """The strategy's kernel as f(arc, arc_index, departure, hint).
+
+    The kernels trust their arguments: callers check the strategy and the
+    departure first, and the graph guarantees the kind and the policy.
+    """
     division = graph.division
     policy = graph.policy
-    if strategy == ATT:
-        return lambda arc, i, tau, hint: att(
-            arc, division, policy, tau, counter=counter
-        )
-    if strategy == ATT_LINEAR:
-        return lambda arc, i, tau, hint: att_linear(
-            arc, division, policy, tau, counter=counter
-        )
+    if strategy in (ATT, ATT_LINEAR):
+        return lambda arc, i, tau, hint: _scan(arc, division, policy, tau, counter)
     assert ael is not None
-    if strategy == FATT:
-        return lambda arc, i, tau, hint: fatt(
-            arc, ael, i, division, policy, tau, hint=hint, counter=counter
+    rows = ael.rows
+    if strategy == B_FATT:
+        bounds = ael.window_bounds
+        return lambda arc, i, tau, hint: _search(
+            arc, rows[i], division, policy, tau, hint, counter, bounds[i]
         )
-    if strategy == L_FATT:
-        return lambda arc, i, tau, hint: l_fatt(
-            arc, ael, i, division, policy, tau, hint=hint, counter=counter
-        )
-    bounds = ael.window_bounds
-    return lambda arc, i, tau, hint: bounded_fatt(
-        arc, ael, i, division, policy, tau, bounds[i], hint=hint, counter=counter
+    return lambda arc, i, tau, hint: _search(
+        arc, rows[i], division, policy, tau, hint, counter, None
     )

@@ -1,21 +1,36 @@
 """Arc traversal-time procedures.
 
 Crossing an arc can span several speed intervals, so the traversal time
-depends on the departure instant. Two families of procedures compute it:
+depends on the departure instant. Two kernels compute it, and each serves
+both speed kinds:
 
-* ``att`` / ``att_linear`` walk the intervals sequentially, consuming the
-  remaining distance one interval at a time: O(K) per call. They are the
-  reference implementations the fast variants are checked against.
-* ``fatt`` / ``bounded_fatt`` / ``l_fatt`` binary-search the arrival
-  interval over precomputed per-arc prefix sums of the distance coverable
-  in each interval (the :class:`AelTable`): O(log K) per call, or
-  O(log Q) when the search window can be bounded.
+* the scan (``att`` for constant speeds, ``att_linear`` for linear ones)
+  walks the intervals in order, consuming the remaining distance one
+  interval at a time: O(K) per call. It is the reference the search is
+  checked against.
+* the search (``fatt`` / ``bounded_fatt`` for constant speeds, ``l_fatt``
+  for linear ones) binary-searches the arrival interval over precomputed
+  per-arc prefix sums of the distance coverable in each interval (the
+  :class:`AelTable`): O(log K) per call, or O(log Q) when the search
+  window can be bounded.
+
+A speed kind enters the kernels only through three primitives (a
+:class:`_Kind`): the distance coverable from an instant to the end of its
+interval, the time to cover a distance inside one interval, and a walk
+over whole intervals. The first, taken from an interval's start, is that
+interval's span; :func:`effective_length`, :func:`build_ael` and the
+scan's period total all read it. The walk keeps its loop inline, because
+a call per interval would dominate the scan.
 
 Departures past the measured horizon follow the graph's policy: under
 "static" the remainder is covered at the last measured speed in closed
 form; under "periodic" whole repeats of the pattern are skipped in O(1)
 using the total distance coverable per period, then one in-period search
-runs. Both keep the per-call complexity bounds intact.
+(or walk) runs. Both keep the per-call complexity bounds intact.
+
+The public procedures validate their arguments once and call the
+unchecked kernels ``_scan`` and ``_search``; the routing engine, which
+validates once per query, calls the kernels directly.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -29,6 +44,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
 from .model import (
     CONSTANT,
@@ -38,8 +55,8 @@ from .model import (
     Arc,
     TdGraph,
     TimeDivision,
-    linear_coeffs,
     locate_interval,
+    speed_line,
 )
 
 # Below this magnitude (m/s^2) the speed line is treated as flat and the
@@ -87,22 +104,16 @@ def effective_length(arc: Arc, division: TimeDivision, k: int) -> float:
     if not 0 <= k < division.intervals:
         raise ValueError(f"interval index {k} out of range")
     points = division.breakpoints
-    t0, t1 = points[k], points[k + 1]
-    if arc.profile.kind == CONSTANT:
-        return arc.profile.values[k] * (t1 - t0)
-    slope, intercept = linear_coeffs(arc.profile, division, k)
-    return slope * (t1 * t1 - t0 * t0) * 0.5 + intercept * (t1 - t0)
+    return _KINDS[arc.profile.kind].cover(arc.profile.values, points, k, points[k])
 
 
 def build_ael(graph: TdGraph) -> AelTable:
-    """Prefix-sum every arc's interval distances; O(mK) time and space."""
-    rows = []
-    for arc in graph.arcs:
-        row = [effective_length(arc, graph.division, 0)]
-        for k in range(1, graph.division.intervals):
-            row.append(row[-1] + effective_length(arc, graph.division, k))
-        rows.append(row)
-    table = AelTable(rows=rows)
+    """Prefix-sum every arc's interval distances; O(mK) time and space.
+
+    Raises ValueError naming the first arc whose prefix sums cannot bound
+    a search (see :func:`compute_q`).
+    """
+    table = AelTable(rows=[_prefix_row(arc, graph.division) for arc in graph.arcs])
     table.window_bounds = [
         compute_q(arc, table, i) for i, arc in enumerate(graph.arcs)
     ]
@@ -113,13 +124,22 @@ def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     """Smallest integer Q such that every interval covers >= length/Q.
 
     Bounds the arrival search of :func:`bounded_fatt` to Q consecutive
-    intervals. Computed once per arc at preprocessing time.
+    intervals. Computed once per arc at preprocessing time. Raises
+    ValueError when some interval adds no distance to the prefix sums, or
+    so little that length/Q overflows: the arrival search needs strictly
+    increasing rows.
     """
     row = ael.rows[index]
     shortest = row[0]
     for j in range(1, len(row)):
         shortest = min(shortest, row[j] - row[j - 1])
-    return max(1, math.ceil(arc.length / shortest))
+    bound = arc.length / shortest if shortest > 0.0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"arc {index} ({arc.src}->{arc.dst}): an interval covers only "
+            f"{shortest!r} m of its {arc.length!r} m length"
+        )
+    return max(1, math.ceil(bound))
 
 
 def att(
@@ -130,60 +150,8 @@ def att(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Traversal time by sequential interval scan; O(K) worst case."""
-    _require_kind(arc, CONSTANT)
-    _require_policy(policy)
-    if tau < 0.0:
-        raise ValueError("departure instant must be non-negative")
-    points = division.breakpoints
-    speeds = arc.profile.values
-    length = arc.length
-    horizon = points[-1]
-    last = division.intervals - 1
-    t = tau
-    if t >= horizon:
-        if policy == STATIC:
-            return _finish(division, policy, tau, length / speeds[-1])
-        t = math.fmod(t, horizon)
-    k = locate_interval(division, t, policy)
-    if speeds[k] * (points[k + 1] - t) >= length:
-        return _finish(division, policy, tau, length / speeds[k])
-    remaining = length - speeds[k] * (points[k + 1] - t)
-    cursor = k + 1
-    while cursor <= last:
-        if counter is not None:
-            counter.steps += 1
-        span = speeds[cursor] * (points[cursor + 1] - points[cursor])
-        if span >= remaining:
-            cost = (points[cursor] - t) + remaining / speeds[cursor]
-            return _finish(division, policy, tau, cost)
-        remaining -= span
-        cursor += 1
-    if policy == STATIC:
-        cost = (horizon - t) + remaining / speeds[-1]
-        return _finish(division, policy, tau, cost)
-    # Periodic: total up one period, skip whole repeats, walk the rest.
-    total = 0.0
-    for j in range(last + 1):
-        if counter is not None:
-            counter.steps += 1
-        total += speeds[j] * (points[j + 1] - points[j])
-    repeats, remaining = divmod(remaining, total)
-    cursor = 0
-    while cursor < last:
-        if counter is not None:
-            counter.steps += 1
-        span = speeds[cursor] * (points[cursor + 1] - points[cursor])
-        if span >= remaining:
-            break
-        remaining -= span
-        cursor += 1
-    cost = (
-        (horizon - t)
-        + repeats * horizon
-        + points[cursor]
-        + remaining / speeds[cursor]
-    )
-    return _finish(division, policy, tau, cost)
+    _check(arc, CONSTANT, policy, tau)
+    return _scan(arc, division, policy, tau, counter)
 
 
 def fatt(
@@ -197,10 +165,8 @@ def fatt(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Traversal time via binary search over prefix sums; O(log K)."""
-    _require_kind(arc, CONSTANT)
-    return _fatt_constant(
-        arc, ael.rows[index], division, policy, tau, hint, counter, None
-    )
+    _check(arc, CONSTANT, policy, tau)
+    return _search(arc, ael.rows[index], division, policy, tau, hint, counter, None)
 
 
 def bounded_fatt(
@@ -220,7 +186,7 @@ def bounded_fatt(
     which holds exactly when ``q >= compute_q(arc, ...)``; the cached
     per-arc bound makes that an O(1) check.
     """
-    _require_kind(arc, CONSTANT)
+    _check(arc, CONSTANT, policy, tau)
     if q < 1:
         raise ValueError("window bound must be at least 1")
     if q < ael.window_bounds[index]:
@@ -228,9 +194,7 @@ def bounded_fatt(
             f"window bound {q} too small: some interval covers less "
             f"than length/{q}"
         )
-    return _fatt_constant(
-        arc, ael.rows[index], division, policy, tau, hint, counter, q
-    )
+    return _search(arc, ael.rows[index], division, policy, tau, hint, counter, q)
 
 
 def att_linear(
@@ -245,67 +209,8 @@ def att_linear(
     Inside the final interval the remaining distance is converted to time
     by solving the quadratic distance integral in closed form.
     """
-    _require_kind(arc, LINEAR)
-    _require_policy(policy)
-    if tau < 0.0:
-        raise ValueError("departure instant must be non-negative")
-    points = division.breakpoints
-    speeds = arc.profile.values
-    length = arc.length
-    horizon = points[-1]
-    last = division.intervals - 1
-    t = tau
-    if t >= horizon:
-        if policy == STATIC:
-            return _finish(division, policy, tau, length / speeds[-1])
-        t = math.fmod(t, horizon)
-    k = locate_interval(division, t, policy)
-    slope, intercept = linear_coeffs(arc.profile, division, k)
-    first = _linear_span(slope, intercept, t, points[k + 1])
-    if first >= length:
-        return _finish(
-            division, policy, tau, _travel_time(slope, intercept, t, length)
-        )
-    remaining = length - first
-    cursor = k + 1
-    while cursor <= last:
-        if counter is not None:
-            counter.steps += 1
-        span = effective_length(arc, division, cursor)
-        if span >= remaining:
-            slope, intercept = linear_coeffs(arc.profile, division, cursor)
-            cost = (points[cursor] - t) + _travel_time(
-                slope, intercept, points[cursor], remaining
-            )
-            return _finish(division, policy, tau, cost)
-        remaining -= span
-        cursor += 1
-    if policy == STATIC:
-        cost = (horizon - t) + remaining / speeds[-1]
-        return _finish(division, policy, tau, cost)
-    total = 0.0
-    for j in range(last + 1):
-        if counter is not None:
-            counter.steps += 1
-        total += effective_length(arc, division, j)
-    repeats, remaining = divmod(remaining, total)
-    cursor = 0
-    while cursor < last:
-        if counter is not None:
-            counter.steps += 1
-        span = effective_length(arc, division, cursor)
-        if span >= remaining:
-            break
-        remaining -= span
-        cursor += 1
-    slope, intercept = linear_coeffs(arc.profile, division, cursor)
-    cost = (
-        (horizon - t)
-        + repeats * horizon
-        + points[cursor]
-        + _travel_time(slope, intercept, points[cursor], remaining)
-    )
-    return _finish(division, policy, tau, cost)
+    _check(arc, LINEAR, policy, tau)
+    return _scan(arc, division, policy, tau, counter)
 
 
 def l_fatt(
@@ -319,50 +224,8 @@ def l_fatt(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Binary-search traversal for linear-speed profiles; O(log K)."""
-    _require_kind(arc, LINEAR)
-    _require_policy(policy)
-    if tau < 0.0:
-        raise ValueError("departure instant must be non-negative")
-    row = ael.rows[index]
-    points = division.breakpoints
-    speeds = arc.profile.values
-    length = arc.length
-    horizon = points[-1]
-    last = division.intervals - 1
-    t = tau
-    if t >= horizon:
-        if policy == STATIC:
-            return _finish(division, policy, tau, length / speeds[-1])
-        t = math.fmod(t, horizon)
-    k = locate_interval(division, t, policy, hint)
-    slope, intercept = linear_coeffs(arc.profile, division, k)
-    first = _linear_span(slope, intercept, t, points[k + 1])
-    if first >= length:
-        return _finish(
-            division, policy, tau, _travel_time(slope, intercept, t, length)
-        )
-    remaining = length - first
-    within = row[last] - row[k]
-    if remaining <= within:
-        stop, consumed = _search_arrival(row, k + 1, remaining, last, counter)
-        slope, intercept = linear_coeffs(arc.profile, division, stop)
-        cost = (points[stop] - t) + _travel_time(
-            slope, intercept, points[stop], remaining - consumed
-        )
-        return _finish(division, policy, tau, cost)
-    if policy == STATIC:
-        cost = (horizon - t) + (remaining - within) / speeds[-1]
-        return _finish(division, policy, tau, cost)
-    repeats, leftover = divmod(remaining - within, row[last])
-    stop, consumed = _search_arrival(row, 0, leftover, last, counter)
-    slope, intercept = linear_coeffs(arc.profile, division, stop)
-    cost = (
-        (horizon - t)
-        + repeats * horizon
-        + points[stop]
-        + _travel_time(slope, intercept, points[stop], leftover - consumed)
-    )
-    return _finish(division, policy, tau, cost)
+    _check(arc, LINEAR, policy, tau)
+    return _search(arc, ael.rows[index], division, policy, tau, hint, counter, None)
 
 
 def interp_piecewise_linear(
@@ -387,22 +250,128 @@ def interp_piecewise_linear(
     return (f1 - f0) / (t1 - t0) * (tau - t0) + f0
 
 
-def _require_kind(arc: Arc, kind: str) -> None:
+def _check(arc: Arc, kind: str, policy: str, tau: float) -> None:
     if arc.profile.kind != kind:
         raise ValueError(
             f"procedure requires a {kind} profile, got {arc.profile.kind}"
         )
-
-
-def _require_policy(policy: str) -> None:
     if policy not in POLICIES:
         raise ValueError(f"unknown horizon policy {policy!r}")
+    _check_departure(tau)
+
+
+def _check_departure(tau: float) -> None:
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(
+            f"departure instant must be finite and non-negative, got {tau!r}"
+        )
+
+
+def _scan(
+    arc: Arc,
+    division: TimeDivision,
+    policy: str,
+    tau: float,
+    counter: OpCounter | None,
+) -> TraversalResult:
+    """Sequential scan over the intervals; arguments are not checked."""
+    cover, within, walk = _KINDS[arc.profile.kind]
+    values = arc.profile.values
+    length = arc.length
+    points = division.breakpoints
+    horizon = points[-1]
+    last = len(points) - 2
+    t = tau
+    if t >= horizon:
+        if policy == STATIC:
+            return _finish(division, policy, tau, length / values[-1], last)
+        t = math.fmod(t, horizon)
+    k = locate_interval(division, t, policy)
+    first = cover(values, points, k, t)
+    if first >= length:
+        return _finish(division, policy, tau, within(values, points, k, t, length), k)
+    stop, rest = walk(values, points, k + 1, last + 1, length - first, counter)
+    if stop <= last:
+        cost = (points[stop] - t) + within(values, points, stop, points[stop], rest)
+        return _finish(division, policy, tau, cost, stop)
+    if policy == STATIC:
+        cost = (horizon - t) + rest / values[-1]
+        return _finish(division, policy, tau, cost, last)
+    # Periodic: total up one period, skip whole repeats, walk the rest.
+    total = _prefix_row(arc, division)[-1]
+    if counter is not None:
+        counter.steps += last + 1
+    repeats, rest = divmod(rest, total)
+    stop, rest = walk(values, points, 0, last, rest, counter)
+    cost = (
+        (horizon - t)
+        + repeats * horizon
+        + points[stop]
+        + within(values, points, stop, points[stop], rest)
+    )
+    return _finish(division, policy, tau, cost, stop)
+
+
+def _search(
+    arc: Arc,
+    row: list[float],
+    division: TimeDivision,
+    policy: str,
+    tau: float,
+    hint: int | None,
+    counter: OpCounter | None,
+    window: int | None,
+) -> TraversalResult:
+    """Arrival search over the arc's prefix ``row``, confined to ``window``
+    intervals when it is not None; arguments are not checked."""
+    cover, within, _ = _KINDS[arc.profile.kind]
+    values = arc.profile.values
+    length = arc.length
+    points = division.breakpoints
+    horizon = points[-1]
+    last = len(points) - 2
+    t = tau
+    if t >= horizon:
+        if policy == STATIC:
+            return _finish(division, policy, tau, length / values[-1], last)
+        t = math.fmod(t, horizon)
+    k = locate_interval(division, t, policy, hint)
+    first = cover(values, points, k, t)
+    if first >= length:
+        return _finish(division, policy, tau, within(values, points, k, t, length), k)
+    remaining = length - first
+    ahead = row[last] - row[k]
+    if remaining <= ahead:
+        hi = last if window is None else min(k + 1 + window, last)
+        stop, consumed = _search_arrival(row, k + 1, remaining, hi, counter)
+        cost = (points[stop] - t) + within(
+            values, points, stop, points[stop], remaining - consumed
+        )
+        return _finish(division, policy, tau, cost, stop)
+    if policy == STATIC:
+        cost = (horizon - t) + (remaining - ahead) / values[-1]
+        return _finish(division, policy, tau, cost, last)
+    repeats, leftover = divmod(remaining - ahead, row[last])
+    hi = last if window is None else min(window, last)
+    stop, consumed = _search_arrival(row, 0, leftover, hi, counter)
+    cost = (
+        (horizon - t)
+        + repeats * horizon
+        + points[stop]
+        + within(values, points, stop, points[stop], leftover - consumed)
+    )
+    return _finish(division, policy, tau, cost, stop)
 
 
 def _finish(
-    division: TimeDivision, policy: str, tau: float, cost: float
+    division: TimeDivision, policy: str, tau: float, cost: float, arrival: int
 ) -> TraversalResult:
-    return TraversalResult(cost, locate_interval(division, tau + cost, policy))
+    """The result of a crossing whose arrival the kernel placed in interval
+    ``arrival``; locate_interval verifies that hint, so a boundary case
+    still lands in the right interval."""
+    return TraversalResult(
+        cost, locate_interval(division, tau + cost, policy, arrival)
+    )
 
 
 def _search_arrival(
@@ -421,70 +390,103 @@ def _search_arrival(
     finish in the very next interval cost a single probe.
     """
     base = row[start - 1] if start > 0 else 0.0
-    if counter is not None:
-        counter.probes += 1
+    probes = 1
     if a <= row[start] - base:
-        return start, 0.0
-    lo = start + 1
-    while True:
-        if counter is not None:
-            counter.probes += 1
-        mid = (lo + hi) >> 1
-        before = row[mid - 1] - base
-        if a < before:
-            hi = mid - 1
-        elif a > row[mid] - base:
-            lo = mid + 1
-        else:
-            return mid, before
+        found = start, 0.0
+    else:
+        lo = start + 1
+        while True:
+            probes += 1
+            mid = (lo + hi) >> 1
+            before = row[mid - 1] - base
+            if a < before:
+                hi = mid - 1
+            elif a > row[mid] - base:
+                lo = mid + 1
+            else:
+                found = mid, before
+                break
+    if counter is not None:
+        counter.probes += probes
+    return found
 
 
-def _fatt_constant(
-    arc: Arc,
-    row: list[float],
-    division: TimeDivision,
-    policy: str,
-    tau: float,
-    hint: int | None,
-    counter: OpCounter | None,
-    window: int | None,
-) -> TraversalResult:
-    _require_policy(policy)
-    if tau < 0.0:
-        raise ValueError("departure instant must be non-negative")
+def _prefix_row(arc: Arc, division: TimeDivision) -> list[float]:
+    """Distance covered on ``arc`` from tau_0 through the end of each
+    interval: the arc's :class:`AelTable` row."""
+    cover = _KINDS[arc.profile.kind].cover
+    values = arc.profile.values
     points = division.breakpoints
-    speeds = arc.profile.values
-    length = arc.length
-    horizon = points[-1]
-    last = division.intervals - 1
-    t = tau
-    if t >= horizon:
-        if policy == STATIC:
-            return _finish(division, policy, tau, length / speeds[-1])
-        t = math.fmod(t, horizon)
-    k = locate_interval(division, t, policy, hint)
-    if speeds[k] * (points[k + 1] - t) >= length:
-        return _finish(division, policy, tau, length / speeds[k])
-    remaining = length - speeds[k] * (points[k + 1] - t)
-    within = row[last] - row[k]
-    if remaining <= within:
-        hi = last if window is None else min(k + 1 + window, last)
-        stop, consumed = _search_arrival(row, k + 1, remaining, hi, counter)
-        cost = (points[stop] - t) + (remaining - consumed) / speeds[stop]
-        return _finish(division, policy, tau, cost)
-    if policy == STATIC:
-        cost = (horizon - t) + (remaining - within) / speeds[-1]
-        return _finish(division, policy, tau, cost)
-    repeats, leftover = divmod(remaining - within, row[last])
-    hi = last if window is None else min(window, last)
-    stop, consumed = _search_arrival(row, 0, leftover, hi, counter)
-    cost = (
-        (horizon - t)
-        + repeats * horizon
-        + points[stop]
-        + (leftover - consumed) / speeds[stop]
+    return list(
+        accumulate(cover(values, points, k, points[k]) for k in range(len(points) - 1))
     )
-    return _finish(division, policy, tau, cost)
+
+
+class _Kind(NamedTuple):
+    """The primitives through which a speed kind enters the kernels.
+
+    ``cover(values, points, k, t)``: distance coverable from ``t`` to the
+    end of interval ``k``. ``within(values, points, k, t, d)``: time to
+    cover ``d`` departing at ``t`` inside interval ``k``. ``walk(values,
+    points, start, end, remaining, counter)``: the first interval j in
+    [start, end) whose whole span holds ``remaining``, with the distance
+    still left at its start, as (j, rest); (end, rest) when none does.
+    """
+
+    cover: Callable[..., float]
+    within: Callable[..., float]
+    walk: Callable[..., tuple[int, float]]
+
+
+def _cover_constant(values, points, k, t):
+    return values[k] * (points[k + 1] - t)
+
+
+def _within_constant(values, points, k, t, d):
+    return d / values[k]
+
+
+def _walk_constant(values, points, start, end, remaining, counter):
+    for j in range(start, end):
+        # _cover_constant(values, points, j, points[j]), inline
+        span = values[j] * (points[j + 1] - points[j])
+        if span >= remaining:
+            if counter is not None:
+                counter.steps += j - start + 1
+            return j, remaining
+        remaining -= span
+    if counter is not None:
+        counter.steps += end - start
+    return end, remaining
+
+
+def _cover_linear(values, points, k, t):
+    slope, intercept = speed_line(values, points, k)
+    return _linear_span(slope, intercept, t, points[k + 1])
+
+
+def _within_linear(values, points, k, t, d):
+    slope, intercept = speed_line(values, points, k)
+    return _travel_time(slope, intercept, t, d)
+
+
+def _walk_linear(values, points, start, end, remaining, counter):
+    for j in range(start, end):
+        span = _cover_linear(values, points, j, points[j])
+        if span >= remaining:
+            if counter is not None:
+                counter.steps += j - start + 1
+            return j, remaining
+        remaining -= span
+    if counter is not None:
+        counter.steps += end - start
+    return end, remaining
+
+
+_KINDS = {
+    CONSTANT: _Kind(_cover_constant, _within_constant, _walk_constant),
+    LINEAR: _Kind(_cover_linear, _within_linear, _walk_linear),
+}
 
 
 def _linear_span(slope: float, intercept: float, t0: float, t1: float) -> float:

@@ -102,6 +102,31 @@ class TestRoute:
         assert code == 2
         assert "non-increasing breakpoints" in err
 
+    def test_non_finite_departure_is_a_usage_error(self, demo_path, capsys):
+        for departure in ("nan", "inf"):
+            code, out, err = run_cli(
+                capsys, "route", demo_path, "0", "--departure", departure
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("tdroute: ") and err.count("\n") == 1
+
+    def test_tiny_speed_arc_is_a_usage_error(self, tmp_path, capsys):
+        # The arc covers 1e-319 m (or, in a 1e-10 s interval, 0 m), so its
+        # window bound length/shortest overflows (or divides by zero).
+        for horizon in ("10", "1e-10"):
+            path = tmp_path / "tiny.tdg"
+            path.write_text(
+                "tdgraph 1 constant static\n"
+                f"division 1 0 {horizon}\n"
+                "nodes 2\narcs 1\n"
+                "arc 0 1 1 1e-320\n"
+            )
+            code, _, err = run_cli(capsys, "route", str(path), "0")
+            assert code == 2
+            assert err.startswith("tdroute: arc 0 (0->1)")
+            assert err.count("\n") == 1
+
     def test_att_and_fatt_reports_agree_on_generated_graphs(self, tmp_path, capsys):
         for seed in range(100):
             config = GeneratorConfig(
@@ -256,19 +281,6 @@ class TestBench:
         )
         assert code == 2
         assert "mix" in err
-
-    def test_thread_env_does_not_change_records(self, capsys, monkeypatch):
-        args = ("bench", "--kmin", "4", "--kmax", "32", "--queries", "4",
-                "--strategies", "att,fatt", "--seed", "21")
-        monkeypatch.delenv("TDROUTE_THREADS", raising=False)
-        _, sequential, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("TDROUTE_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-
-        def strip_wall(text):
-            return [r.rsplit(",", 1)[0] for r in text.splitlines()]
-
-        assert strip_wall(sequential) == strip_wall(threaded)
 
 
 class TestEntryPoint:

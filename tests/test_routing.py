@@ -96,8 +96,9 @@ class TestValidation:
 
     def test_negative_departure(self):
         graph = sample_graph()
-        with pytest.raises(ValueError):
-            shortest_paths(graph, None, 0, -1.0, "att")
+        for departure in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                shortest_paths(graph, None, 0, departure, "att")
 
     def test_unknown_strategy(self):
         graph = sample_graph()

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -142,8 +144,9 @@ class TestAtt:
         assert att(arc, DEMO.division, STATIC, 0.0).cost == 3.0
 
     def test_negative_departure(self):
-        with pytest.raises(ValueError):
-            att(DEMO_ARC, DEMO.division, STATIC, -1.0)
+        for tau in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                att(DEMO_ARC, DEMO.division, STATIC, tau)
 
     def test_requires_constant_profile(self):
         division = TimeDivision((0.0, 10.0))
@@ -303,8 +306,9 @@ class TestAttLinear:
     def test_negative_departure(self):
         division = TimeDivision((0.0, 10.0))
         arc = make_arc(50.0, LINEAR, (10.0, 10.0))
-        with pytest.raises(ValueError):
-            att_linear(arc, division, STATIC, -2.0)
+        for tau in (-2.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                att_linear(arc, division, STATIC, tau)
 
     def test_more_numeric_cross_checks(self):
         rng = random.Random(40)
@@ -522,3 +526,72 @@ class TestInterpolation:
         assert exact == 21.5
         assert approx == 21.2
         assert approx != exact
+
+
+# SHA-256 of every strategy's exact output on pinned_corpus(). The
+# cross-strategy tests above compare at rel 1e-9; this one fails on any
+# changed bit of a cost, arrival interval, probe count or step count.
+PINNED_DIGEST = "67b22ff39685d4739639dd97a974948ac38e967bdb84f22bb37efbdec80157d2"
+
+
+def pinned_corpus():
+    """(strategy, call) pairs over seeded one-arc graphs of both kinds and
+    both policies, departing before, at and past the horizon, with hints
+    that are right, stale or out of range."""
+    rng = random.Random(14084113)
+    for _ in range(40):
+        for kind in (CONSTANT, LINEAR):
+            for policy in (STATIC, PERIODIC):
+                division = random_division(rng, max_intervals=12)
+                points = division.breakpoints
+                horizon = division.horizon
+                for _ in range(3):
+                    profile = random_profile(rng, kind, division.intervals, policy)
+                    length = rng.uniform(1.0, 10.0) * rng.choice((1.0, 10.0, 100.0, 1000.0))
+                    arc = Arc(0, 1, length, profile)
+                    table = build_ael(TdGraph(2, division, policy, kind, (arc,)))
+                    q = table.window_bounds[0]
+                    for tau in (
+                        0.0,
+                        rng.uniform(0.0, horizon),
+                        rng.choice(points),
+                        horizon,
+                        horizon + rng.uniform(0.0, 3.0 * horizon),
+                        rng.choice(points) + rng.randint(1, 3) * horizon,
+                    ):
+                        hint = rng.choice((
+                            None, -1, division.intervals,
+                            rng.randrange(division.intervals),
+                            locate_interval(division, tau, policy),
+                        ))
+                        if kind == CONSTANT:
+                            wide = q + rng.randint(0, 3)
+                            yield "att", lambda c: att(arc, division, policy, tau, c)
+                            yield "fatt", lambda c: fatt(
+                                arc, table, 0, division, policy, tau, hint, c)
+                            yield "b-fatt", lambda c: bounded_fatt(
+                                arc, table, 0, division, policy, tau, wide, hint, c)
+                        else:
+                            yield "att-linear", lambda c: att_linear(
+                                arc, division, policy, tau, c)
+                            yield "l-fatt", lambda c: l_fatt(
+                                arc, table, 0, division, policy, tau, hint, c)
+
+
+class TestPinnedOutput:
+    def test_every_strategy_reproduces_the_pinned_bits(self):
+        digest = hashlib.sha256()
+        calls = Counter()
+        for strategy, call in pinned_corpus():
+            counter = OpCounter()
+            result = call(counter)
+            calls[strategy] += 1
+            digest.update(
+                f"{strategy} {result.cost!r} {result.arrival_interval} "
+                f"{counter.probes} {counter.steps}\n".encode()
+            )
+        assert calls == {
+            "att": 1440, "fatt": 1440, "b-fatt": 1440,
+            "att-linear": 1440, "l-fatt": 1440,
+        }
+        assert digest.hexdigest() == PINNED_DIGEST
