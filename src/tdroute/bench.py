@@ -3,10 +3,11 @@
 Each cell of a sweep builds one two-node graph whose single arc is long
 enough (``span`` of the total distance coverable over the horizon) that a
 traversal crosses a sizable share of the K intervals, then runs the same
-departure instants through every requested strategy. Operation counters
-are the primary evidence (deterministic, machine independent): sequential
-strategies report interval steps, binary-search strategies report probes.
-Wall time is recorded as secondary data.
+departure instants through every requested strategy. Every query goes
+through :func:`routing.traverse_arc`, the dispatch the route engine uses.
+Operation counters are the primary evidence (deterministic, machine
+independent): sequential strategies report interval steps, binary-search
+strategies report probes. Wall time is recorded as secondary data.
 
 Every strategy in a cell must produce the same costs (relative tolerance
 1e-9) and identical arrival intervals; a mismatch raises
@@ -20,21 +21,13 @@ import random
 import time
 from dataclasses import dataclass
 
-from .model import CONSTANT, LINEAR, STATIC, Arc, SpeedProfile, TdGraph, TimeDivision
-from .routing import ATT, ATT_LINEAR, B_FATT, FATT, L_FATT, STRATEGIES
-from .traversal import (
-    OpCounter,
-    att,
-    att_linear,
-    bounded_fatt,
-    build_ael,
-    fatt,
-    l_fatt,
-)
+from .io_gen import _random_profile
+from .model import CONSTANT, STATIC, Arc, TdGraph, TimeDivision
+from .routing import _PLANS, B_FATT, STRATEGIES, traverse_arc
+from .traversal import AelTable, OpCounter, _prefix_row, build_ael
 
 CSV_HEADER = "strategy,K,n,m,Q,queries,probes,wall_ns"
 
-_LINEAR_STRATEGIES = {ATT_LINEAR, L_FATT}
 _SPEED_RANGE = (5.0, 30.0)
 # Departures are drawn from the first few percent of the horizon so the
 # scan is forced across most of the division.
@@ -71,8 +64,7 @@ class SweepConfig:
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategies: {unknown}")
-        kinds = {s in _LINEAR_STRATEGIES for s in self.strategies}
-        if len(kinds) > 1:
+        if len({_PLANS[s][0] for s in self.strategies}) > 1:
             raise ValueError(
                 "cannot mix constant-kind and linear-kind strategies "
                 "in one sweep"
@@ -111,27 +103,25 @@ def run_sweep(config: SweepConfig) -> list[BenchRecord]:
 def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
     """One K cell: identical queries through every strategy."""
     rng = random.Random(config.seed * 1_000_003 + k_intervals)
-    linear = any(s in _LINEAR_STRATEGIES for s in config.strategies)
-    kind = LINEAR if linear else CONSTANT
-
+    kind = next((_PLANS[s][0] for s in config.strategies), CONSTANT)
     division = TimeDivision(tuple(float(i) for i in range(k_intervals + 1)))
-    count = k_intervals + (1 if linear else 0)
-    speeds = [rng.uniform(*_SPEED_RANGE) for _ in range(count)]
-    if linear and config.policy != STATIC:
-        speeds[-1] = speeds[0]
-    profile = SpeedProfile(kind, tuple(speeds))
+    profile = _random_profile(rng, kind, config.policy, _SPEED_RANGE, k_intervals)
 
-    total = _total_span(profile, division, kind)
-    length = config.span * total
+    # The arc's prefix row does not depend on its length.
+    row = _prefix_row(Arc(0, 1, 1.0, profile), division)
+    length = config.span * row[-1]
     if config.window is not None:
-        # Shrink the arc until the requested uniform window is valid.
-        shortest = _shortest_span(profile, division, kind)
+        # Shrink the arc until the requested uniform window is valid; like
+        # compute_q, divide by the row's smallest step.
+        shortest = min(b - a for a, b in zip((0.0, *row), row))
         length = min(length, config.window * shortest * 0.99)
     arc = Arc(0, 1, length, profile)
     graph = TdGraph(2, division, config.policy, kind, (arc,))
     table = build_ael(graph)
-    natural_q = table.window_bounds[0]
-    q = natural_q if config.window is None else max(config.window, natural_q)
+    q = table.window_bounds[0]
+    if config.window is not None and config.window > q:
+        q = config.window
+        table = AelTable(table.rows, [q])
 
     horizon = division.horizon
     departures = [
@@ -148,9 +138,7 @@ def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
         started = time.perf_counter_ns()
         for tau in departures:
             before = counter.probes + counter.steps
-            out = _dispatch(
-                strategy, arc, table, graph, tau, q, counter
-            )
+            out = traverse_arc(graph, table, 0, tau, strategy, counter=counter)
             max_per_query = max(
                 max_per_query, counter.probes + counter.steps - before
             )
@@ -182,22 +170,6 @@ def to_csv(records: list[BenchRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dispatch(strategy, arc, table, graph, tau, q, counter):
-    division = graph.division
-    policy = graph.policy
-    if strategy == ATT:
-        return att(arc, division, policy, tau, counter=counter)
-    if strategy == FATT:
-        return fatt(arc, table, 0, division, policy, tau, counter=counter)
-    if strategy == B_FATT:
-        return bounded_fatt(
-            arc, table, 0, division, policy, tau, q, counter=counter
-        )
-    if strategy == ATT_LINEAR:
-        return att_linear(arc, division, policy, tau, counter=counter)
-    return l_fatt(arc, table, 0, division, policy, tau, counter=counter)
-
-
 def _verify(reference, results, k_intervals, strategy):
     for i, ((want_cost, want_interval), (cost, interval)) in enumerate(
         zip(reference, results)
@@ -210,34 +182,3 @@ def _verify(reference, results, k_intervals, strategy):
                 f"strategy={strategy}, query {i}: "
                 f"{cost} vs {want_cost}"
             )
-
-
-def _total_span(profile, division, kind):
-    points = division.breakpoints
-    if kind == CONSTANT:
-        return sum(
-            v * (points[i + 1] - points[i])
-            for i, v in enumerate(profile.values)
-        )
-    return sum(
-        (profile.values[i] + profile.values[i + 1])
-        * 0.5
-        * (points[i + 1] - points[i])
-        for i in range(division.intervals)
-    )
-
-
-def _shortest_span(profile, division, kind):
-    points = division.breakpoints
-    if kind == CONSTANT:
-        return min(
-            v * (points[i + 1] - points[i])
-            for i, v in enumerate(profile.values)
-        )
-    return min(
-        (profile.values[i] + profile.values[i + 1])
-        * 0.5
-        * (points[i + 1] - points[i])
-        for i in range(division.intervals)
-    )
-

@@ -14,12 +14,11 @@ from pathlib import Path
 
 from .bench import ChecksumMismatch, SweepConfig, run_sweep, to_csv
 from .io_gen import GeneratorConfig, GraphFormatError, generate, load, save, validate_file
-from .model import CONSTANT, KINDS, POLICIES, TdGraph
+from .model import KINDS, POLICIES, TdGraph
 from .routing import (
-    ATT,
-    ATT_LINEAR,
-    FATT,
-    L_FATT,
+    _PLANS,
+    _SCAN,
+    _SEARCH,
     STRATEGIES,
     shortest_path_to,
     shortest_paths,
@@ -119,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_route(args: argparse.Namespace) -> int:
     graph = load(args.graph)
-    strategy = args.strategy or (FATT if graph.kind == CONSTANT else L_FATT)
-    table = _table_for(graph, strategy)
+    strategy, table = _plan(graph, args.strategy, _SEARCH)
     if args.target is None:
         result = shortest_paths(
             graph, table, args.source, args.departure, strategy
@@ -161,8 +159,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 def cmd_att(args: argparse.Namespace) -> int:
     graph = load(args.graph)
-    strategy = args.strategy or (ATT if graph.kind == CONSTANT else ATT_LINEAR)
-    table = _table_for(graph, strategy)
+    strategy, table = _plan(graph, args.strategy, _SCAN)
     result = traverse_arc(graph, table, args.arc_index, args.departure, strategy)
     print(f"cost {_pretty(result.cost)}")
     print(f"arrival_interval {result.arrival_interval}")
@@ -224,10 +221,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 2 if errors else 0
 
 
-def _table_for(graph: TdGraph, strategy: str) -> AelTable | None:
-    if strategy in (ATT, ATT_LINEAR):
-        return None
-    return build_ael(graph)
+def _plan(
+    graph: TdGraph, strategy: str | None, kernel: str
+) -> tuple[str, AelTable | None]:
+    """The strategy (default: ``kernel`` for the graph's kind) and its table."""
+    if strategy is None:
+        strategy = next(s for s, plan in _PLANS.items() if plan == (graph.kind, kernel))
+    return strategy, None if _PLANS[strategy][1] == _SCAN else build_ael(graph)
 
 
 def _pretty(x: float) -> str:

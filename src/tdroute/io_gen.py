@@ -281,9 +281,10 @@ def generate(config: GeneratorConfig) -> TdGraph:
     arcs = []
     for src, dst in order:
         length = rng.uniform(*config.length_range)
-        arcs.append(
-            Arc(src, dst, length, _random_profile(rng, config, division))
+        profile = _random_profile(
+            rng, config.kind, config.policy, config.speed_range, division.intervals
         )
+        arcs.append(Arc(src, dst, length, profile))
     return TdGraph(n, division, config.policy, config.kind, tuple(arcs))
 
 
@@ -301,18 +302,25 @@ def _random_division(
 def _pick_target(
     rng: random.Random, src: int, n: int, taken: set[int]
 ) -> int:
-    candidates = [y for y in range(n) if y != src and y not in taken]
-    return rng.choice(candidates)
+    # Uniform over the free targets, of which callers guarantee one.
+    while True:
+        target = rng.randrange(n)
+        if target != src and target not in taken:
+            return target
 
 
 def _random_profile(
-    rng: random.Random, config: GeneratorConfig, division: TimeDivision
+    rng: random.Random,
+    kind: str,
+    policy: str,
+    speed_range: tuple[float, float],
+    intervals: int,
 ) -> SpeedProfile:
-    count = division.intervals + (0 if config.kind == CONSTANT else 1)
-    speeds = [rng.uniform(*config.speed_range) for _ in range(count)]
-    if config.kind == LINEAR and config.policy == PERIODIC:
+    count = intervals + (0 if kind == CONSTANT else 1)
+    speeds = [rng.uniform(*speed_range) for _ in range(count)]
+    if kind == LINEAR and policy == PERIODIC:
         speeds[-1] = speeds[0]  # wrap smoothly across the period seam
-    return SpeedProfile(config.kind, tuple(speeds))
+    return SpeedProfile(kind, tuple(speeds))
 
 
 def sample_graph(policy: str = STATIC) -> TdGraph:

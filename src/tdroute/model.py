@@ -161,13 +161,16 @@ def locate_interval(
     Instants at or past the horizon map to the last interval (static) or
     wrap modulo T (periodic). A ``hint`` index is verified with a single
     comparison pair and used when it still brackets the instant; a stale
-    hint silently falls back to binary search.
+    hint silently falls back to binary search. NaN and inf raise
+    ValueError.
     """
-    if t < 0.0:
-        raise ValueError("time instant must be non-negative")
+    if not t >= 0.0:
+        raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
     points = division.breakpoints
     last = division.intervals - 1
     if t >= points[-1]:
+        if t == math.inf:
+            raise ValueError("time instant must be finite, got inf")
         if policy == STATIC:
             return last
         if policy != PERIODIC:
@@ -230,19 +233,15 @@ def profile_speed(
     profile: SpeedProfile, division: TimeDivision, policy: str, t: float
 ) -> float:
     """Speed of a single profile at instant ``t`` (policy extended)."""
-    if t < 0.0:
-        raise ValueError("time instant must be non-negative")
+    k = locate_interval(division, t, policy)
     if profile.kind == CONSTANT:
-        return profile.values[locate_interval(division, t, policy)]
+        return profile.values[k]
     points = division.breakpoints
     if t >= points[-1]:
         if policy == STATIC:
             # Frozen continuation: the last measured speed holds after T.
             return profile.values[-1]
-        if policy != PERIODIC:
-            raise ValueError(f"unknown horizon policy {policy!r}")
         t = math.fmod(t, points[-1])
-    k = bisect_right(points, t) - 1
     if t == points[k]:
         # Exact at breakpoints regardless of rounding in the coefficients.
         return profile.values[k]

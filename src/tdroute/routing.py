@@ -45,16 +45,20 @@ FATT = "fatt"
 B_FATT = "b-fatt"
 ATT_LINEAR = "att-linear"
 L_FATT = "l-fatt"
-STRATEGIES = (ATT, FATT, B_FATT, ATT_LINEAR, L_FATT)
 
-_KIND_OF_STRATEGY = {
-    ATT: CONSTANT,
-    FATT: CONSTANT,
-    B_FATT: CONSTANT,
-    ATT_LINEAR: LINEAR,
-    L_FATT: LINEAR,
+# The one place a strategy is resolved: its profile kind and its kernel,
+# the scan, the search, or the search confined to the arc's window bound.
+_SCAN = "scan"
+_SEARCH = "search"
+_WINDOWED = "windowed"
+_PLANS = {
+    ATT: (CONSTANT, _SCAN),
+    FATT: (CONSTANT, _SEARCH),
+    B_FATT: (CONSTANT, _WINDOWED),
+    ATT_LINEAR: (LINEAR, _SCAN),
+    L_FATT: (LINEAR, _SEARCH),
 }
-_NEEDS_TABLE = {FATT, B_FATT, L_FATT}
+STRATEGIES = tuple(_PLANS)
 
 UNREACHABLE = math.inf
 
@@ -162,12 +166,13 @@ def _check_strategy(graph: TdGraph, ael: AelTable | None, strategy: str) -> str:
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if _KIND_OF_STRATEGY[strategy] != graph.kind:
+    kind, kernel = _PLANS[strategy]
+    if kind != graph.kind:
         raise ValueError(
-            f"strategy {strategy!r} requires {_KIND_OF_STRATEGY[strategy]} "
-            f"profiles, graph has {graph.kind}"
+            f"strategy {strategy!r} requires {kind} profiles, "
+            f"graph has {graph.kind}"
         )
-    if strategy in _NEEDS_TABLE and ael is None:
+    if kernel != _SCAN and ael is None:
         raise ValueError(f"strategy {strategy!r} needs a prefix table")
     return strategy
 
@@ -246,11 +251,12 @@ def _evaluator(
     """
     division = graph.division
     policy = graph.policy
-    if strategy in (ATT, ATT_LINEAR):
+    kernel = _PLANS[strategy][1]
+    if kernel == _SCAN:
         return lambda arc, i, tau, hint: _scan(arc, division, policy, tau, counter)
     assert ael is not None
     rows = ael.rows
-    if strategy == B_FATT:
+    if kernel == _WINDOWED:
         bounds = ael.window_bounds
         return lambda arc, i, tau, hint: _search(
             arc, rows[i], division, policy, tau, hint, counter, bounds[i]

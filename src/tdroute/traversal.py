@@ -299,6 +299,8 @@ def _scan(
         return _finish(division, policy, tau, cost, last)
     # Periodic: total up one period, skip whole repeats, walk the rest.
     total = _prefix_row(arc, division)[-1]
+    if not total > 0.0:
+        raise ValueError(f"arc {arc.src}->{arc.dst}: a period covers no distance")
     if counter is not None:
         counter.steps += last + 1
     repeats, rest = divmod(rest, total)
@@ -390,6 +392,9 @@ def _search_arrival(
     finish in the very next interval cost a single probe.
     """
     base = row[start - 1] if start > 0 else 0.0
+    # Checked once: with row increasing, this makes the bisection terminate.
+    if not (start <= hi and a <= row[hi] - base):
+        raise ValueError(f"arrival search: {a!r} m exceeds intervals {start}..{hi}")
     probes = 1
     if a <= row[start] - base:
         found = start, 0.0

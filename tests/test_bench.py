@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -73,3 +74,31 @@ class TestCsv:
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "16"
         assert lines[2].split(",")[1] == "32"
+
+
+class TestPinnedSweep:
+    # Both kinds, both policies, a forced window that shrinks the arc, and
+    # one wider than the arc's natural Q (span 0.01, window 50).
+    SWEEPS = (
+        dict(strategies=("att", "fatt", "b-fatt"), seed=1),
+        dict(strategies=("att", "fatt", "b-fatt"), seed=2, window=8),
+        dict(strategies=("att-linear", "l-fatt"), seed=3),
+        dict(
+            strategies=("att", "fatt", "b-fatt"), seed=4, policy="periodic",
+            span=0.3, window=3,
+        ),
+        dict(strategies=("fatt", "b-fatt"), seed=6, span=0.01, window=50),
+        dict(strategies=("att-linear", "l-fatt"), seed=5, policy="periodic"),
+    )
+    DIGEST = "706c8a6642c671e42f4809bf76b95ad8223e65291d1d980580fbb7eb186c4369"
+
+    def test_sweep_csv_reproduces_the_pinned_digest(self):
+        # Everything but wall_ns, the only column that is not deterministic.
+        digest = hashlib.sha256()
+        for sweep in self.SWEEPS:
+            config = SweepConfig(
+                k_values=tuple(2**i for i in range(1, 11)), queries=12, **sweep
+            )
+            for line in to_csv(run_sweep(config)).splitlines():
+                digest.update(line.rsplit(",", 1)[0].encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST

@@ -127,6 +127,31 @@ class TestRoute:
             assert err.startswith("tdroute: arc 0 (0->1)")
             assert err.count("\n") == 1
 
+    def test_tiny_speed_arc_under_the_scan_is_a_usage_error(self, tmp_path, capsys):
+        # The scan strategies build no prefix table, so the crossing's cost
+        # overflows (static) or the period covers 0 m (periodic).
+        cases = (
+            ("constant", "1e-320", "att"),
+            ("linear", "1e-320 1e-320", "att-linear"),
+        )
+        for policy in ("static", "periodic"):
+            for kind, speeds, strategy in cases:
+                path = tmp_path / "tiny.tdg"
+                path.write_text(
+                    f"tdgraph 1 {kind} {policy}\n"
+                    "division 1 0 1e-10\n"
+                    "nodes 2\narcs 1\n"
+                    f"arc 0 1 1 {speeds}\n"
+                )
+                for argv in (
+                    ("route", str(path), "0", "--strategy", strategy),
+                    ("att", str(path), "0", "--strategy", strategy),
+                ):
+                    code, out, err = run_cli(capsys, *argv)
+                    assert code == 2, (policy, argv)
+                    assert out == ""
+                    assert err.startswith("tdroute: ") and err.count("\n") == 1
+
     def test_att_and_fatt_reports_agree_on_generated_graphs(self, tmp_path, capsys):
         for seed in range(100):
             config = GeneratorConfig(

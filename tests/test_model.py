@@ -53,8 +53,10 @@ class TestLocateInterval:
         assert locate_interval(DEMO_DIVISION, 15.0) == 2
 
     def test_negative_instant(self):
-        with pytest.raises(ValueError):
-            locate_interval(DEMO_DIVISION, -1.0)
+        for policy in (STATIC, PERIODIC):
+            for t in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    locate_interval(DEMO_DIVISION, t, policy)
 
     def test_static_clamps_past_horizon(self):
         assert locate_interval(DEMO_DIVISION, 40.0, STATIC) == 3
@@ -189,9 +191,15 @@ class TestSpeedAt:
         assert profile_speed(profile, division, STATIC, 5.0) == pytest.approx(15.0)
 
     def test_negative_instant(self):
-        graph = sample_graph()
-        with pytest.raises(ValueError):
-            speed_at(graph, graph.arcs[0], -0.5)
+        division = TimeDivision((0.0, 10.0))
+        ramp = SpeedProfile(LINEAR, (10.0, 10.0))
+        for policy in (STATIC, PERIODIC):
+            graph = sample_graph(policy)
+            for t in (-0.5, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    speed_at(graph, graph.arcs[0], t)
+                with pytest.raises(ValueError):
+                    profile_speed(ramp, division, policy, t)
 
     def test_static_extension(self):
         graph = sample_graph(STATIC)

@@ -426,6 +426,13 @@ class TestSearchArrival:
         if stop == 2:
             assert 30.0 - consumed == 0.0
 
+    def test_residual_outside_the_window_raises(self):
+        row = [100.0, 130.0, 250.0, 350.0]
+        # Intervals 1..2 cover 150 m; an empty window covers nothing.
+        for start, a, hi in ((1, 200.0, 2), (3, 10.0, 2)):
+            with pytest.raises(ValueError, match="arrival search"):
+                _search_arrival(row, start, a, hi, None)
+
     def test_sequential_scan_settles_where_predicate_holds(self):
         rng = random.Random(62)
         for _ in range(1000):
