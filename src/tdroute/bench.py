@@ -22,9 +22,9 @@ import time
 from dataclasses import dataclass
 
 from .io_gen import _random_profile
-from .model import CONSTANT, STATIC, Arc, TdGraph, TimeDivision
+from .model import STATIC, Arc, TdGraph, TimeDivision
 from .routing import _PLANS, B_FATT, STRATEGIES, traverse_arc
-from .traversal import AelTable, OpCounter, _prefix_row, build_ael
+from .traversal import AelTable, OpCounter, _prefix_row, _smallest_step, build_ael
 
 CSV_HEADER = "strategy,K,n,m,Q,queries,probes,wall_ns"
 
@@ -61,6 +61,8 @@ class SweepConfig:
             raise ValueError("span must be inside (0, 1)")
         if self.window is not None and self.window < 1:
             raise ValueError("window bound must be at least 1")
+        if not self.strategies:
+            raise ValueError("sweep needs at least one strategy")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategies: {unknown}")
@@ -103,7 +105,7 @@ def run_sweep(config: SweepConfig) -> list[BenchRecord]:
 def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
     """One K cell: identical queries through every strategy."""
     rng = random.Random(config.seed * 1_000_003 + k_intervals)
-    kind = next((_PLANS[s][0] for s in config.strategies), CONSTANT)
+    kind = _PLANS[config.strategies[0]][0]
     division = TimeDivision(tuple(float(i) for i in range(k_intervals + 1)))
     profile = _random_profile(rng, kind, config.policy, _SPEED_RANGE, k_intervals)
 
@@ -113,8 +115,7 @@ def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
     if config.window is not None:
         # Shrink the arc until the requested uniform window is valid; like
         # compute_q, divide by the row's smallest step.
-        shortest = min(b - a for a, b in zip((0.0, *row), row))
-        length = min(length, config.window * shortest * 0.99)
+        length = min(length, config.window * _smallest_step(row) * 0.99)
     arc = Arc(0, 1, length, profile)
     graph = TdGraph(2, division, config.policy, kind, (arc,))
     table = build_ael(graph)

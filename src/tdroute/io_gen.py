@@ -200,7 +200,7 @@ def _parse_arc(
     speeds = tuple(_parse_float(t, number) for t in tokens[4:])
     try:
         arc = Arc(src, dst, length, SpeedProfile(kind, speeds))
-        check_arc(arc, nodes, intervals, policy)
+        check_arc(arc, nodes, kind, intervals, policy)
     except ValueError as error:
         raise GraphFormatError(str(error), number) from None
     return arc

@@ -102,6 +102,11 @@ class Arc:
             raise ValueError("node id out of range")
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ValueError("non-positive arc length")
+        slowest = min(self.profile.values)
+        if not math.isfinite(self.length / slowest):
+            raise ValueError(
+                f"crossing time overflows: {self.length!r} m at {slowest!r} m/s"
+            )
 
 
 @dataclass(frozen=True)
@@ -131,9 +136,7 @@ class TdGraph:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
         for index, arc in enumerate(self.arcs):
-            if arc.profile.kind != self.kind:
-                raise ValueError("arc profile kind does not match the graph")
-            check_arc(arc, self.nodes, self.division.intervals, self.policy)
+            check_arc(arc, self.nodes, self.kind, self.division.intervals, self.policy)
             outgoing[arc.src].append(index)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
@@ -182,24 +185,34 @@ def locate_interval(
     return bisect_right(points, t) - 1
 
 
-def check_arc(arc: Arc, nodes: int, intervals: int, policy: str) -> None:
-    """Raise ValueError unless ``arc`` fits a graph with ``nodes`` nodes, a
-    ``intervals``-interval division and the horizon ``policy``.
+def check_arc(arc: Arc, nodes: int, kind: str, intervals: int, policy: str) -> None:
+    """Raise ValueError unless ``arc`` fits a graph of ``nodes`` nodes and
+    ``kind`` profiles over ``intervals`` intervals under the ``policy``.
 
     These are the arc invariants that need the graph; :class:`Arc` and
     :class:`SpeedProfile` check the rest on construction.
     """
     if arc.src >= nodes or arc.dst >= nodes:
         raise ValueError("node id out of range")
-    values = arc.profile.values
-    expected = arc.profile.expected_values(intervals)
+    _check_profile(arc.profile, kind, intervals, policy)
+
+
+def _check_profile(
+    profile: SpeedProfile, kind: str, intervals: int, policy: str
+) -> None:
+    """The profile half of :func:`check_arc`: its kind, its speed count and,
+    when linear under the periodic policy, its seam."""
+    if profile.kind != kind:
+        raise ValueError(f"expected a {kind} profile, got {profile.kind}")
+    values = profile.values
+    expected = profile.expected_values(intervals)
     if len(values) != expected:
         raise ValueError(
             f"speed count mismatch: expected {expected}, got {len(values)}"
         )
     if (
         policy == PERIODIC
-        and arc.profile.kind == LINEAR
+        and profile.kind == LINEAR
         and abs(values[0] - values[-1]) > SEAM_TOLERANCE
     ):
         raise ValueError(

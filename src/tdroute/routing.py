@@ -36,8 +36,7 @@ from .traversal import (
     OpCounter,
     TraversalResult,
     _check_departure,
-    _scan,
-    _search,
+    _cross,
 )
 
 ATT = "att"
@@ -246,21 +245,23 @@ def _evaluator(
 ) -> Callable[[Arc, int, float, int | None], TraversalResult]:
     """The strategy's kernel as f(arc, arc_index, departure, hint).
 
-    The kernels trust their arguments: callers check the strategy and the
+    The kernel trusts its arguments: callers check the strategy and the
     departure first, and the graph guarantees the kind and the policy.
     """
     division = graph.division
     policy = graph.policy
     kernel = _PLANS[strategy][1]
     if kernel == _SCAN:
-        return lambda arc, i, tau, hint: _scan(arc, division, policy, tau, counter)
+        return lambda arc, i, tau, hint: _cross(
+            arc, None, division, policy, tau, hint, counter, None
+        )
     assert ael is not None
     rows = ael.rows
     if kernel == _WINDOWED:
         bounds = ael.window_bounds
-        return lambda arc, i, tau, hint: _search(
+        return lambda arc, i, tau, hint: _cross(
             arc, rows[i], division, policy, tau, hint, counter, bounds[i]
         )
-    return lambda arc, i, tau, hint: _search(
+    return lambda arc, i, tau, hint: _cross(
         arc, rows[i], division, policy, tau, hint, counter, None
     )

@@ -1,8 +1,9 @@
 """Arc traversal-time procedures.
 
 Crossing an arc can span several speed intervals, so the traversal time
-depends on the departure instant. Two kernels compute it, and each serves
-both speed kinds:
+depends on the departure instant. One kernel, ``_cross``, computes it for
+both speed kinds. Its two finders of the arrival interval make the two
+families of procedures:
 
 * the scan (``att`` for constant speeds, ``att_linear`` for linear ones)
   walks the intervals in order, consuming the remaining distance one
@@ -14,7 +15,7 @@ both speed kinds:
   :class:`AelTable`): O(log K) per call, or O(log Q) when the search
   window can be bounded.
 
-A speed kind enters the kernels only through three primitives (a
+A speed kind enters the kernel only through three primitives (a
 :class:`_Kind`): the distance coverable from an instant to the end of its
 interval, the time to cover a distance inside one interval, and a walk
 over whole intervals. The first, taken from an interval's start, is that
@@ -29,8 +30,8 @@ using the total distance coverable per period, then one in-period search
 (or walk) runs. Both keep the per-call complexity bounds intact.
 
 The public procedures validate their arguments once and call the
-unchecked kernels ``_scan`` and ``_search``; the routing engine, which
-validates once per query, calls the kernels directly.
+unchecked kernel; the routing engine, which validates once per query,
+calls it directly.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -45,16 +46,19 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import sub
 from typing import Callable, NamedTuple
 
 from .model import (
     CONSTANT,
     LINEAR,
+    PERIODIC,
     POLICIES,
     STATIC,
     Arc,
     TdGraph,
     TimeDivision,
+    _check_profile,
     locate_interval,
     speed_line,
 )
@@ -129,10 +133,7 @@ def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     so little that length/Q overflows: the arrival search needs strictly
     increasing rows.
     """
-    row = ael.rows[index]
-    shortest = row[0]
-    for j in range(1, len(row)):
-        shortest = min(shortest, row[j] - row[j - 1])
+    shortest = _smallest_step(ael.rows[index])
     bound = arc.length / shortest if shortest > 0.0 else math.inf
     if not math.isfinite(bound):
         raise ValueError(
@@ -150,8 +151,8 @@ def att(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Traversal time by sequential interval scan; O(K) worst case."""
-    _check(arc, CONSTANT, policy, tau)
-    return _scan(arc, division, policy, tau, counter)
+    _check(arc, division.intervals, CONSTANT, policy, tau)
+    return _cross(arc, None, division, policy, tau, None, counter, None)
 
 
 def fatt(
@@ -165,8 +166,8 @@ def fatt(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Traversal time via binary search over prefix sums; O(log K)."""
-    _check(arc, CONSTANT, policy, tau)
-    return _search(arc, ael.rows[index], division, policy, tau, hint, counter, None)
+    _check(arc, division.intervals, CONSTANT, policy, tau)
+    return _cross(arc, ael.rows[index], division, policy, tau, hint, counter, None)
 
 
 def bounded_fatt(
@@ -186,7 +187,7 @@ def bounded_fatt(
     which holds exactly when ``q >= compute_q(arc, ...)``; the cached
     per-arc bound makes that an O(1) check.
     """
-    _check(arc, CONSTANT, policy, tau)
+    _check(arc, division.intervals, CONSTANT, policy, tau)
     if q < 1:
         raise ValueError("window bound must be at least 1")
     if q < ael.window_bounds[index]:
@@ -194,7 +195,7 @@ def bounded_fatt(
             f"window bound {q} too small: some interval covers less "
             f"than length/{q}"
         )
-    return _search(arc, ael.rows[index], division, policy, tau, hint, counter, q)
+    return _cross(arc, ael.rows[index], division, policy, tau, hint, counter, q)
 
 
 def att_linear(
@@ -209,8 +210,8 @@ def att_linear(
     Inside the final interval the remaining distance is converted to time
     by solving the quadratic distance integral in closed form.
     """
-    _check(arc, LINEAR, policy, tau)
-    return _scan(arc, division, policy, tau, counter)
+    _check(arc, division.intervals, LINEAR, policy, tau)
+    return _cross(arc, None, division, policy, tau, None, counter, None)
 
 
 def l_fatt(
@@ -224,8 +225,8 @@ def l_fatt(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Binary-search traversal for linear-speed profiles; O(log K)."""
-    _check(arc, LINEAR, policy, tau)
-    return _search(arc, ael.rows[index], division, policy, tau, hint, counter, None)
+    _check(arc, division.intervals, LINEAR, policy, tau)
+    return _cross(arc, ael.rows[index], division, policy, tau, hint, counter, None)
 
 
 def interp_piecewise_linear(
@@ -250,13 +251,10 @@ def interp_piecewise_linear(
     return (f1 - f0) / (t1 - t0) * (tau - t0) + f0
 
 
-def _check(arc: Arc, kind: str, policy: str, tau: float) -> None:
-    if arc.profile.kind != kind:
-        raise ValueError(
-            f"procedure requires a {kind} profile, got {arc.profile.kind}"
-        )
+def _check(arc: Arc, intervals: int, kind: str, policy: str, tau: float) -> None:
     if policy not in POLICIES:
         raise ValueError(f"unknown horizon policy {policy!r}")
+    _check_profile(arc.profile, kind, intervals, policy)
     _check_departure(tau)
 
 
@@ -267,14 +265,23 @@ def _check_departure(tau: float) -> None:
         )
 
 
-def _scan(
+def _cross(
     arc: Arc,
+    row: list[float] | None,
     division: TimeDivision,
     policy: str,
     tau: float,
+    hint: int | None,
     counter: OpCounter | None,
+    window: int | None,
 ) -> TraversalResult:
-    """Sequential scan over the intervals; arguments are not checked."""
+    """The crossing of ``arc`` departing at ``tau``; arguments are not checked.
+
+    The scan (``row`` None) finds the arrival interval with the kind's walk,
+    the search over the prefix ``row``, confined to ``window`` intervals
+    unless None. locate_interval verifies it as a hint, so a crossing that
+    ends on a breakpoint still lands in the right interval.
+    """
     cover, within, walk = _KINDS[arc.profile.kind]
     values = arc.profile.values
     length = arc.length
@@ -283,97 +290,47 @@ def _scan(
     last = len(points) - 2
     t = tau
     if t >= horizon:
-        if policy == STATIC:
-            return _finish(division, policy, tau, length / values[-1], last)
-        t = math.fmod(t, horizon)
-    k = locate_interval(division, t, policy)
-    first = cover(values, points, k, t)
-    if first >= length:
-        return _finish(division, policy, tau, within(values, points, k, t, length), k)
-    stop, rest = walk(values, points, k + 1, last + 1, length - first, counter)
-    if stop <= last:
-        cost = (points[stop] - t) + within(values, points, stop, points[stop], rest)
-        return _finish(division, policy, tau, cost, stop)
-    if policy == STATIC:
-        cost = (horizon - t) + rest / values[-1]
-        return _finish(division, policy, tau, cost, last)
-    # Periodic: total up one period, skip whole repeats, walk the rest.
-    total = _prefix_row(arc, division)[-1]
-    if not total > 0.0:
-        raise ValueError(f"arc {arc.src}->{arc.dst}: a period covers no distance")
-    if counter is not None:
-        counter.steps += last + 1
-    repeats, rest = divmod(rest, total)
-    stop, rest = walk(values, points, 0, last, rest, counter)
-    cost = (
-        (horizon - t)
-        + repeats * horizon
-        + points[stop]
-        + within(values, points, stop, points[stop], rest)
-    )
-    return _finish(division, policy, tau, cost, stop)
-
-
-def _search(
-    arc: Arc,
-    row: list[float],
-    division: TimeDivision,
-    policy: str,
-    tau: float,
-    hint: int | None,
-    counter: OpCounter | None,
-    window: int | None,
-) -> TraversalResult:
-    """Arrival search over the arc's prefix ``row``, confined to ``window``
-    intervals when it is not None; arguments are not checked."""
-    cover, within, _ = _KINDS[arc.profile.kind]
-    values = arc.profile.values
-    length = arc.length
-    points = division.breakpoints
-    horizon = points[-1]
-    last = len(points) - 2
-    t = tau
-    if t >= horizon:
-        if policy == STATIC:
-            return _finish(division, policy, tau, length / values[-1], last)
-        t = math.fmod(t, horizon)
+        # Static speeds stay frozen past the horizon: a later departure
+        # costs what departing at the horizon does.
+        t = horizon if policy == STATIC else math.fmod(t, horizon)
     k = locate_interval(division, t, policy, hint)
     first = cover(values, points, k, t)
     if first >= length:
-        return _finish(division, policy, tau, within(values, points, k, t, length), k)
+        cost = within(values, points, k, t, length)
+        return TraversalResult(cost, locate_interval(division, tau + cost, policy, k))
+    # The arrival lies in interval stop (last + 1: past the horizon), entered
+    # lead + points[stop] after tau with rest still to cover.
     remaining = length - first
-    ahead = row[last] - row[k]
-    if remaining <= ahead:
+    if row is None:
+        stop, rest = walk(values, points, k + 1, last + 1, remaining, counter)
+    elif remaining <= row[last] - row[k]:
         hi = last if window is None else min(k + 1 + window, last)
         stop, consumed = _search_arrival(row, k + 1, remaining, hi, counter)
-        cost = (points[stop] - t) + within(
-            values, points, stop, points[stop], remaining - consumed
-        )
-        return _finish(division, policy, tau, cost, stop)
-    if policy == STATIC:
-        cost = (horizon - t) + (remaining - ahead) / values[-1]
-        return _finish(division, policy, tau, cost, last)
-    repeats, leftover = divmod(remaining - ahead, row[last])
-    hi = last if window is None else min(window, last)
-    stop, consumed = _search_arrival(row, 0, leftover, hi, counter)
-    cost = (
-        (horizon - t)
-        + repeats * horizon
-        + points[stop]
-        + within(values, points, stop, points[stop], leftover - consumed)
-    )
-    return _finish(division, policy, tau, cost, stop)
-
-
-def _finish(
-    division: TimeDivision, policy: str, tau: float, cost: float, arrival: int
-) -> TraversalResult:
-    """The result of a crossing whose arrival the kernel placed in interval
-    ``arrival``; locate_interval verifies that hint, so a boundary case
-    still lands in the right interval."""
-    return TraversalResult(
-        cost, locate_interval(division, tau + cost, policy, arrival)
-    )
+        rest = remaining - consumed
+    else:
+        stop, rest = last + 1, remaining - (row[last] - row[k])
+    lead = -t
+    if stop > last and policy == PERIODIC:
+        # Skip whole repeats of the pattern, then find the arrival in one period.
+        total = _prefix_row(arc, division)[-1] if row is None else row[last]
+        if not total > 0.0:
+            raise ValueError(f"arc {arc.src}->{arc.dst}: a period covers no distance")
+        repeats, rest = divmod(rest, total)
+        lead = (horizon - t) + repeats * horizon
+        if row is None:
+            if counter is not None:
+                counter.steps += last + 1  # the period total visits every interval
+            stop, rest = walk(values, points, 0, last, rest, counter)
+        else:
+            hi = last if window is None else min(window, last)
+            stop, consumed = _search_arrival(row, 0, rest, hi, counter)
+            rest -= consumed
+    if stop > last:
+        # Static tail: the rest at the last measured speed.
+        cost, stop = (horizon - t) + rest / values[-1], last
+    else:
+        cost = (lead + points[stop]) + within(values, points, stop, points[stop], rest)
+    return TraversalResult(cost, locate_interval(division, tau + cost, policy, stop))
 
 
 def _search_arrival(
@@ -425,6 +382,11 @@ def _prefix_row(arc: Arc, division: TimeDivision) -> list[float]:
     return list(
         accumulate(cover(values, points, k, points[k]) for k in range(len(points) - 1))
     )
+
+
+def _smallest_step(row: list[float]) -> float:
+    """The least distance any one interval adds to the prefix ``row``."""
+    return min(map(sub, row, (0.0, *row)))
 
 
 class _Kind(NamedTuple):

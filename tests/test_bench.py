@@ -25,6 +25,8 @@ class TestSweepConfig:
             SweepConfig(**{**good, "strategies": ("att", "l-fatt")})
         with pytest.raises(ValueError):
             SweepConfig(**{**good, "window": 0})
+        with pytest.raises(ValueError):
+            SweepConfig(**{**good, "strategies": ()})
 
 
 class TestRunCell:

@@ -112,20 +112,31 @@ class TestRoute:
             assert err.startswith("tdroute: ") and err.count("\n") == 1
 
     def test_tiny_speed_arc_is_a_usage_error(self, tmp_path, capsys):
-        # The arc covers 1e-319 m (or, in a 1e-10 s interval, 0 m), so its
-        # window bound length/shortest overflows (or divides by zero).
-        for horizon in ("10", "1e-10"):
+        # At 1e-320 m/s the 1 m arc takes no finite time, so loading rejects
+        # its line. At 1e-300 m/s it loads, but a 1e-10 s interval covers
+        # only 1e-310 m, so its window bound length/shortest overflows.
+        cases = (
+            ("10", "1e-320", "tdroute: line 5: "),
+            ("1e-10", "1e-320", "tdroute: line 5: "),
+            ("1e-10", "1e-300",
+             "tdroute: arc 0 (0->1): an interval covers only 1e-310 m"),
+        )
+        for horizon, speed, prefix in cases:
             path = tmp_path / "tiny.tdg"
             path.write_text(
                 "tdgraph 1 constant static\n"
                 f"division 1 0 {horizon}\n"
                 "nodes 2\narcs 1\n"
-                "arc 0 1 1 1e-320\n"
+                f"arc 0 1 1 {speed}\n"
             )
             code, _, err = run_cli(capsys, "route", str(path), "0")
             assert code == 2
-            assert err.startswith("tdroute: arc 0 (0->1)")
+            assert err.startswith(prefix)
             assert err.count("\n") == 1
+            if prefix.startswith("tdroute: line 5: "):
+                code, _, err = run_cli(capsys, "validate", str(path))
+                assert code == 2
+                assert "line 5: crossing time overflows" in err
 
     def test_tiny_speed_arc_under_the_scan_is_a_usage_error(self, tmp_path, capsys):
         # The scan strategies build no prefix table, so the crossing's cost
@@ -306,6 +317,14 @@ class TestBench:
         )
         assert code == 2
         assert "mix" in err
+
+    def test_empty_strategy_list_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--kmin", "4", "--kmax", "4", "--strategies", ",",
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least one strategy" in err
 
 
 class TestEntryPoint:

@@ -107,6 +107,13 @@ class TestArcValidation:
         with pytest.raises(ValueError):
             Arc(0, 1, 0.0, SpeedProfile(CONSTANT, (10.0,)))
 
+    def test_rejects_a_crossing_that_takes_no_finite_time(self):
+        # 1 m at 1e-320 m/s (or 1e300 m at 1e-10 m/s) overflows to inf.
+        for length, speeds in ((1.0, (10.0, 1e-320)), (1e300, (1e-10, 5.0))):
+            with pytest.raises(ValueError, match="crossing time overflows"):
+                Arc(0, 1, length, SpeedProfile(CONSTANT, speeds))
+        Arc(0, 1, 1.0, SpeedProfile(CONSTANT, (1e-300,)))
+
 
 class TestTdGraphValidation:
     def test_profile_length_must_match_division(self):

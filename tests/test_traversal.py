@@ -165,10 +165,40 @@ class TestAtt:
         arc = make_arc(1050.0, CONSTANT, (10.0,))
         assert att(arc, division, PERIODIC, 0.0).cost == 105.0
 
+    def test_period_covering_no_distance_raises(self):
+        # Each 1e-30 s period covers 1e-330 m, which underflows to 0.
+        division = TimeDivision((0.0, 1e-30))
+        for procedure, arc in (
+            (att, make_arc(1.0, CONSTANT, (1e-300,))),
+            (att_linear, make_arc(1.0, LINEAR, (1e-300, 1e-300))),
+        ):
+            with pytest.raises(ValueError, match="a period covers no distance"):
+                procedure(arc, division, PERIODIC, 0.0)
+
     def test_departure_past_horizon(self):
         assert att(DEMO_ARC, DEMO.division, STATIC, 100.0).cost == 17.0
         periodic = att(DEMO_ARC, DEMO.division, PERIODIC, 46.0)
         assert periodic.cost == att(DEMO_ARC, DEMO.division, PERIODIC, 6.0).cost
+
+
+class TestArgumentChecks:
+    def test_every_procedure_rejects_a_wrong_speed_count(self):
+        # Three intervals need three constant or four linear speeds.
+        division = TimeDivision((0.0, 1.0, 2.0, 3.0))
+        constant = make_arc(100.0, CONSTANT, (1.0,))
+        linear = make_arc(100.0, LINEAR, (1.0, 1.0))
+        calls = (
+            lambda policy: att(constant, division, policy, 0.0),
+            lambda policy: fatt(constant, DEMO_AEL, 0, division, policy, 0.0),
+            lambda policy: bounded_fatt(
+                constant, DEMO_AEL, 0, division, policy, 0.0, 6),
+            lambda policy: att_linear(linear, division, policy, 0.0),
+            lambda policy: l_fatt(linear, DEMO_AEL, 0, division, policy, 0.0),
+        )
+        for policy in (STATIC, PERIODIC):
+            for call in calls:
+                with pytest.raises(ValueError, match="speed count mismatch"):
+                    call(policy)
 
 
 class TestFatt:
