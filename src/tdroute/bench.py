@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .io_gen import _random_profile
 from .model import STATIC, Arc, TdGraph, TimeDivision
-from .routing import _PLANS, B_FATT, STRATEGIES, traverse_arc
+from .routing import _PLANS, STRATEGIES, traverse_arc
 from .traversal import AelTable, OpCounter, _prefix_row, _smallest_step, build_ael
 
 CSV_HEADER = "strategy,K,n,m,Q,queries,probes,wall_ns"
@@ -155,7 +155,7 @@ def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
                 intervals=k_intervals,
                 nodes=graph.nodes,
                 arcs=graph.arc_count,
-                window_bound=q if strategy == B_FATT else None,
+                window_bound=q if _PLANS[strategy][2] else None,
                 queries=config.queries,
                 probes=counter.probes + counter.steps,
                 wall_ns=wall,

@@ -17,8 +17,6 @@ from .io_gen import GeneratorConfig, GraphFormatError, generate, load, save, val
 from .model import KINDS, POLICIES, TdGraph
 from .routing import (
     _PLANS,
-    _SCAN,
-    _SEARCH,
     STRATEGIES,
     shortest_path_to,
     shortest_paths,
@@ -118,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_route(args: argparse.Namespace) -> int:
     graph = load(args.graph)
-    strategy, table = _plan(graph, args.strategy, _SEARCH)
+    strategy, table = _plan(graph, args.strategy, searches=True)
     if args.target is None:
         result = shortest_paths(
             graph, table, args.source, args.departure, strategy
@@ -159,7 +157,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 def cmd_att(args: argparse.Namespace) -> int:
     graph = load(args.graph)
-    strategy, table = _plan(graph, args.strategy, _SCAN)
+    strategy, table = _plan(graph, args.strategy, searches=False)
     result = traverse_arc(graph, table, args.arc_index, args.departure, strategy)
     print(f"cost {_pretty(result.cost)}")
     print(f"arrival_interval {result.arrival_interval}")
@@ -222,12 +220,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _plan(
-    graph: TdGraph, strategy: str | None, kernel: str
+    graph: TdGraph, strategy: str | None, searches: bool
 ) -> tuple[str, AelTable | None]:
-    """The strategy (default: ``kernel`` for the graph's kind) and its table."""
+    """The strategy (default: the graph kind's unwindowed search, or its scan
+    when not ``searches``) and its prefix table, built only for a search."""
     if strategy is None:
-        strategy = next(s for s, plan in _PLANS.items() if plan == (graph.kind, kernel))
-    return strategy, None if _PLANS[strategy][1] == _SCAN else build_ael(graph)
+        default = (graph.kind, searches, False)
+        strategy = next(s for s, plan in _PLANS.items() if plan == default)
+    return strategy, build_ael(graph) if _PLANS[strategy][1] else None
 
 
 def _pretty(x: float) -> str:

@@ -19,7 +19,9 @@ Twister MT19937), so a seed fully determines the output.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from .model import (
     SpeedProfile,
     TdGraph,
     TimeDivision,
+    _check_node_count,
     check_arc,
 )
 
@@ -155,8 +158,10 @@ def _parse(text: str) -> tuple[TdGraph | None, list[GraphFormatError]]:
         if len(tokens) != 2 or tokens[0] != "nodes":
             raise GraphFormatError("malformed nodes line", number)
         nodes = _parse_int(tokens[1], number)
-        if nodes < 1:
-            raise GraphFormatError("node count must be at least 1", number)
+        try:
+            _check_node_count(nodes)
+        except ValueError as error:
+            raise GraphFormatError(str(error), number) from None
 
         number, tokens = take("arcs")
         if len(tokens) != 2 or tokens[0] != "arcs":
@@ -235,12 +240,16 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError("node count must be at least 1")
+        _check_node_count(self.nodes)
         if self.intervals < 1:
             raise ValueError("interval count must be at least 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        # The division draws its breakpoints strictly inside (0, horizon):
+        # an infinite horizon or one without room for them never finishes.
+        if not sys.float_info.min <= self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be finite and at least {sys.float_info.min!r}, "
+                f"got {self.horizon!r}"
+            )
         lo, hi = self.speed_range
         if not (0.0 < lo <= hi):
             raise ValueError("degenerate speed range")

@@ -31,6 +31,11 @@ POLICIES = (STATIC, PERIODIC)
 # breakpoint speeds may differ by at most this much (m/s).
 SEAM_TOLERANCE = 1e-9
 
+# The most nodes a graph may have. The adjacency takes a list per node
+# (56 B each, arcs aside), so without a cap a four-line file declaring
+# 10^8 nodes asks for over 5 GB; at the cap it is under 1 GB.
+MAX_NODES = 2**24
+
 
 @dataclass(frozen=True)
 class TimeDivision:
@@ -128,8 +133,7 @@ class TdGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        if self.nodes < 1:
-            raise ValueError("node count must be at least 1")
+        _check_node_count(self.nodes)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown horizon policy {self.policy!r}")
         if self.kind not in KINDS:
@@ -151,6 +155,14 @@ class TdGraph:
         if not 0 <= node < self.nodes:
             raise ValueError("node id out of range")
         return self._adjacency[node]
+
+
+def _check_node_count(nodes: int) -> None:
+    """Reject a node count below 1 or above :data:`MAX_NODES`."""
+    if nodes < 1:
+        raise ValueError("node count must be at least 1")
+    if nodes > MAX_NODES:
+        raise ValueError(f"node count {nodes} exceeds the cap of {MAX_NODES}")
 
 
 def locate_interval(

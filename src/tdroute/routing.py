@@ -5,7 +5,8 @@ the arc's traversal time at the settled arrival instant of x. Because
 the speed model is FIFO (leaving later never arrives earlier), settling
 nodes in non-decreasing label order yields minimum arrival times.
 
-Strategies pick the traversal procedure:
+Relaxing an arc is one call to the crossing kernel ``traversal._cross``;
+the strategy picks the procedure it runs:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -28,9 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable
 
-from .model import CONSTANT, LINEAR, Arc, TdGraph, locate_interval
+from .model import CONSTANT, LINEAR, TdGraph, locate_interval
 from .traversal import (
     AelTable,
     OpCounter,
@@ -45,17 +45,15 @@ B_FATT = "b-fatt"
 ATT_LINEAR = "att-linear"
 L_FATT = "l-fatt"
 
-# The one place a strategy is resolved: its profile kind and its kernel,
-# the scan, the search, or the search confined to the arc's window bound.
-_SCAN = "scan"
-_SEARCH = "search"
-_WINDOWED = "windowed"
+# Each strategy's profile kind, whether it searches the prefix table (a
+# scan needs none), and whether the search is confined to the arc's window
+# bound. _check_strategy is the one place a strategy is resolved.
 _PLANS = {
-    ATT: (CONSTANT, _SCAN),
-    FATT: (CONSTANT, _SEARCH),
-    B_FATT: (CONSTANT, _WINDOWED),
-    ATT_LINEAR: (LINEAR, _SCAN),
-    L_FATT: (LINEAR, _SEARCH),
+    ATT: (CONSTANT, False, False),
+    FATT: (CONSTANT, True, False),
+    B_FATT: (CONSTANT, True, True),
+    ATT_LINEAR: (LINEAR, False, False),
+    L_FATT: (LINEAR, True, False),
 }
 STRATEGIES = tuple(_PLANS)
 
@@ -151,29 +149,36 @@ def traverse_arc(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """One arc traversal through the strategy dispatch (debug-level query)."""
-    strategy = _check_strategy(graph, ael, strategy)
+    """One arc traversal as the route engine makes it (debug-level query)."""
+    rows, windows = _check_strategy(graph, ael, strategy)
     if not 0 <= arc_index < graph.arc_count:
         raise ValueError(f"arc index {arc_index} out of range")
     _check_departure(departure)
-    evaluate = _evaluator(graph, ael, strategy, counter)
-    return evaluate(graph.arcs[arc_index], arc_index, departure, hint)
+    row = None if rows is None else rows[arc_index]
+    window = None if windows is None else windows[arc_index]
+    return _cross(graph.arcs[arc_index], row, graph.division, graph.policy,
+                  departure, hint, counter, window)
 
 
-def _check_strategy(graph: TdGraph, ael: AelTable | None, strategy: str) -> str:
-    """The strategy name, normalised, once it is known to suit the graph."""
+def _check_strategy(
+    graph: TdGraph, ael: AelTable | None, strategy: str
+) -> tuple[list[list[float]] | None, list[int] | None]:
+    """The kernel's per-arc prefix rows (None for a scan) and search windows
+    (None unless windowed) under ``strategy``, once it suits the graph."""
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    kind, kernel = _PLANS[strategy]
+    kind, searches, windowed = _PLANS[strategy]
     if kind != graph.kind:
         raise ValueError(
             f"strategy {strategy!r} requires {kind} profiles, "
             f"graph has {graph.kind}"
         )
-    if kernel != _SCAN and ael is None:
+    if not searches:
+        return None, None
+    if ael is None:
         raise ValueError(f"strategy {strategy!r} needs a prefix table")
-    return strategy
+    return ael.rows, ael.window_bounds if windowed else None
 
 
 def _run(
@@ -184,13 +189,13 @@ def _run(
     strategy: str,
     stop_at: int | None,
 ) -> RouteResult:
-    strategy = _check_strategy(graph, ael, strategy)
+    rows, windows = _check_strategy(graph, ael, strategy)
     if not 0 <= source < graph.nodes:
         raise ValueError("node id out of range")
     _check_departure(departure)
 
-    counter = OpCounter()
-    evaluate = _evaluator(graph, ael, strategy, counter)
+    division = graph.division
+    policy = graph.policy
     n = graph.nodes
     arrival = [UNREACHABLE] * n
     predecessor: list[int | None] = [None] * n
@@ -199,7 +204,7 @@ def _run(
     stats = QueryStats()
 
     arrival[source] = departure
-    hint[source] = locate_interval(graph.division, departure, graph.policy)
+    hint[source] = locate_interval(division, departure, policy)
     frontier: list[tuple[float, int]] = [(departure, source)]
     previous_label = -math.inf
     while frontier:
@@ -217,7 +222,11 @@ def _run(
             arc = graph.arcs[arc_index]
             if settled[arc.dst]:
                 continue
-            outcome = evaluate(arc, arc_index, label, node_hint)
+            row = None if rows is None else rows[arc_index]
+            window = None if windows is None else windows[arc_index]
+            # The stats serve as the kernel's counter: it adds to probes and steps.
+            outcome = _cross(arc, row, division, policy, label, node_hint,
+                             stats, window)
             stats.traversal_calls += 1
             candidate = label + outcome.cost
             if candidate < arrival[arc.dst]:
@@ -225,8 +234,6 @@ def _run(
                 predecessor[arc.dst] = node
                 hint[arc.dst] = outcome.arrival_interval
                 heappush(frontier, (candidate, arc.dst))
-    stats.probes = counter.probes
-    stats.steps = counter.steps
     return RouteResult(
         source=source,
         departure=departure,
@@ -234,34 +241,4 @@ def _run(
         predecessor=predecessor,
         arrival_interval=[h if a != UNREACHABLE else None for h, a in zip(hint, arrival)],
         stats=stats,
-    )
-
-
-def _evaluator(
-    graph: TdGraph,
-    ael: AelTable | None,
-    strategy: str,
-    counter: OpCounter | None,
-) -> Callable[[Arc, int, float, int | None], TraversalResult]:
-    """The strategy's kernel as f(arc, arc_index, departure, hint).
-
-    The kernel trusts its arguments: callers check the strategy and the
-    departure first, and the graph guarantees the kind and the policy.
-    """
-    division = graph.division
-    policy = graph.policy
-    kernel = _PLANS[strategy][1]
-    if kernel == _SCAN:
-        return lambda arc, i, tau, hint: _cross(
-            arc, None, division, policy, tau, hint, counter, None
-        )
-    assert ael is not None
-    rows = ael.rows
-    if kernel == _WINDOWED:
-        bounds = ael.window_bounds
-        return lambda arc, i, tau, hint: _cross(
-            arc, rows[i], division, policy, tau, hint, counter, bounds[i]
-        )
-    return lambda arc, i, tau, hint: _cross(
-        arc, rows[i], division, policy, tau, hint, counter, None
     )

@@ -133,7 +133,7 @@ def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     so little that length/Q overflows: the arrival search needs strictly
     increasing rows.
     """
-    shortest = _smallest_step(ael.rows[index])
+    shortest = _smallest_step(_row(ael, index))
     bound = arc.length / shortest if shortest > 0.0 else math.inf
     if not math.isfinite(bound):
         raise ValueError(
@@ -167,7 +167,7 @@ def fatt(
 ) -> TraversalResult:
     """Traversal time via binary search over prefix sums; O(log K)."""
     _check(arc, division.intervals, CONSTANT, policy, tau)
-    return _cross(arc, ael.rows[index], division, policy, tau, hint, counter, None)
+    return _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
 
 
 def bounded_fatt(
@@ -188,6 +188,9 @@ def bounded_fatt(
     per-arc bound makes that an O(1) check.
     """
     _check(arc, division.intervals, CONSTANT, policy, tau)
+    row = _row(ael, index)
+    if index >= len(ael.window_bounds):
+        raise ValueError(f"prefix table has no window bound at index {index}")
     if q < 1:
         raise ValueError("window bound must be at least 1")
     if q < ael.window_bounds[index]:
@@ -195,7 +198,7 @@ def bounded_fatt(
             f"window bound {q} too small: some interval covers less "
             f"than length/{q}"
         )
-    return _cross(arc, ael.rows[index], division, policy, tau, hint, counter, q)
+    return _cross(arc, row, division, policy, tau, hint, counter, q)
 
 
 def att_linear(
@@ -226,7 +229,7 @@ def l_fatt(
 ) -> TraversalResult:
     """Binary-search traversal for linear-speed profiles; O(log K)."""
     _check(arc, division.intervals, LINEAR, policy, tau)
-    return _cross(arc, ael.rows[index], division, policy, tau, hint, counter, None)
+    return _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
 
 
 def interp_piecewise_linear(
@@ -243,7 +246,7 @@ def interp_piecewise_linear(
     instants = [s[0] for s in samples]
     if any(b <= a for a, b in zip(instants, instants[1:])):
         raise ValueError("samples must be sorted by instant")
-    if tau < instants[0] or tau > instants[-1]:
+    if not instants[0] <= tau <= instants[-1]:
         raise ValueError("instant outside the sampled range")
     k = min(bisect_right(instants, tau) - 1, len(samples) - 2)
     t0, f0 = samples[k]
@@ -256,6 +259,13 @@ def _check(arc: Arc, intervals: int, kind: str, policy: str, tau: float) -> None
         raise ValueError(f"unknown horizon policy {policy!r}")
     _check_profile(arc.profile, kind, intervals, policy)
     _check_departure(tau)
+
+
+def _row(ael: AelTable, index: int) -> list[float]:
+    """The table's prefix row at ``index``; a negative index is no row."""
+    if not 0 <= index < len(ael.rows):
+        raise ValueError(f"prefix table has no row at index {index}")
+    return ael.rows[index]
 
 
 def _check_departure(tau: float) -> None:

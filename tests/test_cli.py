@@ -6,6 +6,7 @@ import pytest
 
 from tdroute import GeneratorConfig, dumps, generate, sample_graph, save
 from tdroute.cli import main
+from tdroute.model import MAX_NODES
 
 DEMO_FILE = "demo.tdg"
 
@@ -247,6 +248,26 @@ class TestGenValidate:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 2
         assert "non-increasing breakpoints" in err
+
+    def test_a_node_count_over_the_cap_is_a_usage_error(self, tmp_path, capsys):
+        big = tmp_path / "big.tdg"
+        big.write_text(
+            "tdgraph 1 constant static\ndivision 1 0 10\n"
+            f"nodes {MAX_NODES + 1}\narcs 0\n"
+        )
+        for argv in (("validate", str(big)), ("route", str(big), "0")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert f"line 3: node count {MAX_NODES + 1} exceeds the cap" in err
+
+    @pytest.mark.parametrize("horizon", ["inf", "5e-324"])
+    def test_gen_rejects_a_horizon_it_cannot_divide(self, tmp_path, capsys, horizon):
+        out = str(tmp_path / "g.tdg")
+        code, _, err = run_cli(
+            capsys, "gen", out, "--horizon", horizon, "--intervals", "3"
+        )
+        assert code == 2
+        assert "horizon must be finite and at least" in err
 
     def test_validate_lists_every_arc_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.tdg"

@@ -21,6 +21,7 @@ from tdroute import (
     shortest_paths,
     validate_file,
 )
+from tdroute.model import MAX_NODES
 from support import random_graph, static_dijkstra
 
 DEMO_TEXT = """\
@@ -109,6 +110,8 @@ def mutate(lines, kind):
         out[1] = "division 0 0"
     elif kind == "node-count":
         out[2] = "nodes 0"
+    elif kind == "node-cap":
+        out[2] = f"nodes {MAX_NODES + 1}"
     elif kind == "arc-count":
         out[3] = "arcs -2"
     elif kind == "zero-length":
@@ -145,6 +148,7 @@ EXPECTED_DIAGNOSTIC = {
     "first-breakpoint": "first breakpoint must be 0",
     "interval-count": "interval count must be at least 1",
     "node-count": "node count must be at least 1",
+    "node-cap": f"node count {MAX_NODES + 1} exceeds the cap",
     "arc-count": "arc count must be non-negative",
     "zero-length": "non-positive arc length",
     "zero-speed": "non-positive speed",
@@ -276,8 +280,11 @@ class TestGenerator:
         "overrides",
         [
             dict(nodes=0),
+            dict(nodes=MAX_NODES + 1, avg_degree=0.0),
             dict(intervals=0),
             dict(horizon=0.0),
+            dict(horizon=math.inf),
+            dict(horizon=5e-324),   # no room for two interior breakpoints
             dict(speed_range=(0.0, 10.0)),
             dict(speed_range=(10.0, 5.0)),
             dict(length_range=(-1.0, 10.0)),

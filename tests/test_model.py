@@ -20,6 +20,7 @@ from tdroute import (
     sample_graph,
     speed_at,
 )
+from tdroute.model import MAX_NODES
 from support import brute_locate, random_division, random_profile
 
 DEMO_DIVISION = TimeDivision((0.0, 10.0, 15.0, 30.0, 40.0))
@@ -153,6 +154,11 @@ class TestTdGraphValidation:
         # within tolerance is accepted
         near = SpeedProfile(LINEAR, (10.0, 10.0 + 5e-10))
         TdGraph(2, division, PERIODIC, LINEAR, (Arc(0, 1, 5.0, near),))
+
+    def test_node_count_is_capped_before_allocating(self):
+        division = TimeDivision((0.0, 10.0))
+        with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_NODES}"):
+            TdGraph(MAX_NODES + 1, division, STATIC, CONSTANT, ())
 
     def test_node_ids_checked(self):
         division = TimeDivision((0.0, 10.0))

@@ -1,23 +1,29 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from tdroute import (
     CONSTANT,
     LINEAR,
+    PERIODIC,
     STATIC,
     UNREACHABLE,
     Arc,
+    OpCounter,
     SpeedProfile,
     TdGraph,
     TimeDivision,
     att,
     att_linear,
     build_ael,
+    locate_interval,
     sample_graph,
     shortest_path_to,
     shortest_paths,
+    traverse_arc,
 )
 from support import enumerate_arrivals, random_graph
 
@@ -251,3 +257,60 @@ class TestRouteResultContract:
             result = shortest_paths(graph, table, source, 0.0, strategy)
             reachable = sum(1 for a in result.arrival if a != UNREACHABLE)
             assert result.stats.settled == reachable
+
+
+ENGINE_DIGEST = "f85cfed41e22f021150e603a2f7553fd7535e0003509df5878f2903a49bb29e9"
+
+
+def engine_corpus():
+    """Lines covering every query, point-to-point answer and arc traversal
+    over seeded graphs of both kinds and both policies, for every strategy
+    of the graph's kind."""
+    rng = random.Random(5)
+    for _ in range(30):
+        for kind in (CONSTANT, LINEAR):
+            for policy in (STATIC, PERIODIC):
+                graph = random_graph(rng, kind=kind, policy=policy)
+                table = build_ael(graph)
+                division = graph.division
+                horizon = division.horizon
+                for strategy in strategies_for(kind):
+                    for departure in (
+                        rng.uniform(0.0, horizon),
+                        horizon + rng.uniform(0.0, 2.0 * horizon),
+                    ):
+                        source = rng.randrange(graph.nodes)
+                        r = shortest_paths(graph, table, source, departure, strategy)
+                        yield strategy, (
+                            f"{r.arrival!r} {r.predecessor} "
+                            f"{r.arrival_interval} {r.stats}"
+                        )
+                        target = rng.randrange(graph.nodes)
+                        p = shortest_path_to(
+                            graph, table, source, target, departure, strategy
+                        )
+                        yield strategy, f"{p.path} {p.arrival!r} {p.stats}"
+                        right = locate_interval(division, departure, policy)
+                        stale = (right + 1) % division.intervals
+                        for index in range(graph.arc_count):
+                            for hint in (right, stale, None):
+                                counter = OpCounter()
+                                t = traverse_arc(
+                                    graph, table, index, departure, strategy,
+                                    hint, counter,
+                                )
+                                yield strategy, f"{t!r} {counter!r}"
+
+
+class TestPinnedOutput:
+    def test_every_strategy_reproduces_the_pinned_engine_output(self):
+        digest = hashlib.sha256()
+        lines = Counter()
+        for strategy, line in engine_corpus():
+            lines[strategy] += 1
+            digest.update(f"{strategy} {line}\n".encode())
+        assert lines == {
+            "att": 2376, "fatt": 2376, "b-fatt": 2376,
+            "att-linear": 2412, "l-fatt": 2412,
+        }
+        assert digest.hexdigest() == ENGINE_DIGEST

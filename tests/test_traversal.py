@@ -12,7 +12,9 @@ from tdroute import (
     LINEAR,
     PERIODIC,
     STATIC,
+    AelTable,
     Arc,
+    GeneratorConfig,
     OpCounter,
     SpeedProfile,
     TdGraph,
@@ -24,6 +26,7 @@ from tdroute import (
     compute_q,
     effective_length,
     fatt,
+    generate,
     interp_piecewise_linear,
     l_fatt,
     locate_interval,
@@ -199,6 +202,30 @@ class TestArgumentChecks:
             for call in calls:
                 with pytest.raises(ValueError, match="speed count mismatch"):
                     call(policy)
+
+    def test_a_table_index_without_a_row_raises(self):
+        # A negative index must not wrap around to the last arc's row.
+        config = dict(
+            nodes=5, avg_degree=2, intervals=40, horizon=100,
+            speed_range=(5, 30), length_range=(500, 2000), seed=3,
+        )
+        constant = generate(GeneratorConfig(**config))
+        linear = generate(GeneratorConfig(**config, kind=LINEAR))
+        c_arc, c_table = constant.arcs[0], build_ael(constant)
+        l_arc, l_table = linear.arcs[0], build_ael(linear)
+        division, policy = constant.division, constant.policy
+        calls = (
+            lambda i: fatt(c_arc, c_table, i, division, policy, 1.0),
+            lambda i: l_fatt(l_arc, l_table, i, linear.division, policy, 1.0),
+            lambda i: bounded_fatt(c_arc, c_table, i, division, policy, 1.0, 99),
+            lambda i: compute_q(c_arc, c_table, i),
+        )
+        for index in (-1, constant.arc_count, linear.arc_count, 99):
+            for call in calls:
+                with pytest.raises(ValueError, match=f"no row at index {index}$"):
+                    call(index)
+        with pytest.raises(ValueError, match="no window bound at index 0$"):
+            bounded_fatt(c_arc, AelTable(c_table.rows), 0, division, policy, 1.0, 99)
 
 
 class TestFatt:
@@ -550,6 +577,8 @@ class TestInterpolation:
             interp_piecewise_linear(self.SAMPLES, -0.1)
         with pytest.raises(ValueError):
             interp_piecewise_linear(self.SAMPLES, 10.1)
+        with pytest.raises(ValueError, match="outside the sampled range"):
+            interp_piecewise_linear(self.SAMPLES, math.nan)
 
     def test_unsorted_samples_rejected(self):
         with pytest.raises(ValueError):
