@@ -119,7 +119,9 @@ class TdGraph:
     """Directed network sharing one time division across all arcs.
 
     Arcs keep their construction order (so external arc indices stay
-    stable); adjacency is grouped by source node for scanning.
+    stable); adjacency is grouped by source node for scanning. The routing
+    engine's hot loop reads each arc's target, length and speeds from flat
+    per-arc lists indexed like ``arcs``, built once here.
     """
 
     nodes: int
@@ -130,6 +132,9 @@ class TdGraph:
     _adjacency: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    _dst: list[int] = field(init=False, repr=False, compare=False)
+    _length: list[float] = field(init=False, repr=False, compare=False)
+    _speeds: list[tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
@@ -139,12 +144,21 @@ class TdGraph:
         if self.kind not in KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
+        dst: list[int] = []
+        length: list[float] = []
+        speeds: list[tuple[float, ...]] = []
         for index, arc in enumerate(self.arcs):
             check_arc(arc, self.nodes, self.kind, self.division.intervals, self.policy)
             outgoing[arc.src].append(index)
+            dst.append(arc.dst)
+            length.append(arc.length)
+            speeds.append(arc.profile.values)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
         )
+        object.__setattr__(self, "_dst", dst)
+        object.__setattr__(self, "_length", length)
+        object.__setattr__(self, "_speeds", speeds)
 
     @property
     def arc_count(self) -> int:

@@ -5,8 +5,23 @@ the arc's traversal time at the settled arrival instant of x. Because
 the speed model is FIFO (leaving later never arrives earlier), settling
 nodes in non-decreasing label order yields minimum arrival times.
 
-Relaxing an arc is one call to the crossing kernel ``traversal._cross``;
-the strategy picks the procedure it runs:
+The loop reads only locals: the graph's adjacency, its flat per-arc
+target, length and speed lists (built once by :class:`TdGraph`), the
+breakpoints and the table's prefix rows and windows. No
+``TraversalResult`` is allocated per relaxation.
+
+On realistic networks most crossings end in the interval they depart in,
+so the loop takes that exit of the crossing kernel ``traversal._cross``
+itself. For a node settled at ``label`` inside the horizon, in interval k,
+an arc relaxes at cost ``length / values[k]`` with arrival interval k when
+``values[k] * (points[k+1] - label) >= length`` and ``label + cost <
+points[k+1]``: the kernel's own test and cost, the kind's ``cover`` and
+``within``, inlined for constant speeds and called for linear ones.
+Every other crossing is one kernel call: one that spans intervals, one
+that arrives on or past ``points[k+1]``, and every crossing from a label
+at or past the horizon. Both ways give the same bits, so answers and
+counters do not depend on which one ran. The strategy picks the
+procedure the kernel runs:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -32,6 +47,7 @@ from heapq import heappop, heappush
 
 from .model import CONSTANT, LINEAR, TdGraph, locate_interval
 from .traversal import (
+    _KINDS,
     AelTable,
     OpCounter,
     TraversalResult,
@@ -156,15 +172,16 @@ def traverse_arc(
     _check_departure(departure)
     row = None if rows is None else rows[arc_index]
     window = None if windows is None else windows[arc_index]
-    return _cross(graph.arcs[arc_index], row, graph.division, graph.policy,
-                  departure, hint, counter, window)
+    return TraversalResult(*_cross(graph.arcs[arc_index], row, graph.division,
+                                   graph.policy, departure, hint, counter, window))
 
 
 def _check_strategy(
     graph: TdGraph, ael: AelTable | None, strategy: str
 ) -> tuple[list[list[float]] | None, list[int] | None]:
     """The kernel's per-arc prefix rows (None for a scan) and search windows
-    (None unless windowed) under ``strategy``, once it suits the graph."""
+    (None unless windowed) under ``strategy``, once it suits the graph and
+    the table has one of each per arc of the graph."""
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -178,7 +195,19 @@ def _check_strategy(
         return None, None
     if ael is None:
         raise ValueError(f"strategy {strategy!r} needs a prefix table")
-    return ael.rows, ael.window_bounds if windowed else None
+    if len(ael.rows) != graph.arc_count:
+        raise ValueError(
+            f"prefix table has {len(ael.rows)} rows, graph has "
+            f"{graph.arc_count} arcs"
+        )
+    if not windowed:
+        return ael.rows, None
+    if len(ael.window_bounds) != graph.arc_count:
+        raise ValueError(
+            f"prefix table has {len(ael.window_bounds)} window bounds, "
+            f"graph has {graph.arc_count} arcs"
+        )
+    return ael.rows, ael.window_bounds
 
 
 def _run(
@@ -196,12 +225,24 @@ def _run(
 
     division = graph.division
     policy = graph.policy
+    points = division.breakpoints
+    horizon = points[-1]
+    constant = graph.kind == CONSTANT
+    cover, within, _ = _KINDS[graph.kind]
+    arcs = graph.arcs
+    adjacency = graph._adjacency
+    dsts = graph._dst
+    lengths = graph._length
+    speeds = graph._speeds
     n = graph.nodes
     arrival = [UNREACHABLE] * n
     predecessor: list[int | None] = [None] * n
     hint: list[int | None] = [None] * n
     settled = [False] * n
     stats = QueryStats()
+    settled_count = 0
+    calls = 0
+    inf = math.inf
 
     arrival[source] = departure
     hint[source] = locate_interval(division, departure, policy)
@@ -214,26 +255,52 @@ def _run(
         assert label >= previous_label, "labels must settle in order"
         previous_label = label
         settled[node] = True
-        stats.settled += 1
+        settled_count += 1
         if node == stop_at:
             break
-        node_hint = hint[node]
-        for arc_index in graph.out_arcs(node):
-            arc = graph.arcs[arc_index]
-            if settled[arc.dst]:
+        k = hint[node]
+        end = points[k + 1]
+        room = end - label
+        # Inside the horizon points[k] <= label < end; past it k is the
+        # interval label maps to under the policy, and every crossing goes
+        # to the kernel.
+        inside = label < horizon
+        for arc_index in adjacency[node]:
+            dst = dsts[arc_index]
+            if settled[dst]:
                 continue
-            row = None if rows is None else rows[arc_index]
-            window = None if windows is None else windows[arc_index]
-            # The stats serve as the kernel's counter: it adds to probes and steps.
-            outcome = _cross(arc, row, division, policy, label, node_hint,
-                             stats, window)
-            stats.traversal_calls += 1
-            candidate = label + outcome.cost
-            if candidate < arrival[arc.dst]:
-                arrival[arc.dst] = candidate
-                predecessor[arc.dst] = node
-                hint[arc.dst] = outcome.arrival_interval
-                heappush(frontier, (candidate, arc.dst))
+            calls += 1
+            cost = inf  # until the same-interval exit applies
+            if inside:
+                length = lengths[arc_index]
+                if constant:
+                    # _cover_constant(values, points, k, label) >= length, then
+                    # _within_constant(values, points, k, label, length), inline
+                    speed = speeds[arc_index][k]
+                    if speed * room >= length:
+                        cost = length / speed
+                elif cover(speeds[arc_index], points, k, label) >= length:
+                    cost = within(speeds[arc_index], points, k, label, length)
+            if label + cost < end:
+                # _cross's same-interval exit, arriving before the interval ends.
+                interval = k
+            else:
+                # The stats serve as the kernel's counter: it adds to probes
+                # and steps.
+                cost, interval = _cross(
+                    arcs[arc_index],
+                    None if rows is None else rows[arc_index],
+                    division, policy, label, k, stats,
+                    None if windows is None else windows[arc_index],
+                )
+            candidate = label + cost
+            if candidate < arrival[dst]:
+                arrival[dst] = candidate
+                predecessor[dst] = node
+                hint[dst] = interval
+                heappush(frontier, (candidate, dst))
+    stats.settled = settled_count
+    stats.traversal_calls = calls
     return RouteResult(
         source=source,
         departure=departure,

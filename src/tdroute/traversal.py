@@ -29,9 +29,12 @@ form; under "periodic" whole repeats of the pattern are skipped in O(1)
 using the total distance coverable per period, then one in-period search
 (or walk) runs. Both keep the per-call complexity bounds intact.
 
-The public procedures validate their arguments once and call the
-unchecked kernel; the routing engine, which validates once per query,
-calls it directly.
+The public procedures validate their arguments once, call the unchecked
+kernel and wrap its ``(cost, arrival interval)`` pair in a
+:class:`TraversalResult`. The routing engine, which validates once per
+query, calls the kernel directly and keeps the pair, allocating nothing
+per relaxation; it resolves a crossing that ends inside its departure
+interval itself, with the kind's ``cover``/``within``.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -152,7 +155,8 @@ def att(
 ) -> TraversalResult:
     """Traversal time by sequential interval scan; O(K) worst case."""
     _check(arc, division.intervals, CONSTANT, policy, tau)
-    return _cross(arc, None, division, policy, tau, None, counter, None)
+    crossing = _cross(arc, None, division, policy, tau, None, counter, None)
+    return TraversalResult(*crossing)
 
 
 def fatt(
@@ -167,7 +171,8 @@ def fatt(
 ) -> TraversalResult:
     """Traversal time via binary search over prefix sums; O(log K)."""
     _check(arc, division.intervals, CONSTANT, policy, tau)
-    return _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
+    crossing = _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
+    return TraversalResult(*crossing)
 
 
 def bounded_fatt(
@@ -198,7 +203,8 @@ def bounded_fatt(
             f"window bound {q} too small: some interval covers less "
             f"than length/{q}"
         )
-    return _cross(arc, row, division, policy, tau, hint, counter, q)
+    crossing = _cross(arc, row, division, policy, tau, hint, counter, q)
+    return TraversalResult(*crossing)
 
 
 def att_linear(
@@ -214,7 +220,8 @@ def att_linear(
     by solving the quadratic distance integral in closed form.
     """
     _check(arc, division.intervals, LINEAR, policy, tau)
-    return _cross(arc, None, division, policy, tau, None, counter, None)
+    crossing = _cross(arc, None, division, policy, tau, None, counter, None)
+    return TraversalResult(*crossing)
 
 
 def l_fatt(
@@ -229,7 +236,8 @@ def l_fatt(
 ) -> TraversalResult:
     """Binary-search traversal for linear-speed profiles; O(log K)."""
     _check(arc, division.intervals, LINEAR, policy, tau)
-    return _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
+    crossing = _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
+    return TraversalResult(*crossing)
 
 
 def interp_piecewise_linear(
@@ -284,8 +292,9 @@ def _cross(
     hint: int | None,
     counter: OpCounter | None,
     window: int | None,
-) -> TraversalResult:
-    """The crossing of ``arc`` departing at ``tau``; arguments are not checked.
+) -> tuple[float, int]:
+    """The crossing of ``arc`` departing at ``tau`` as (cost, arrival
+    interval); arguments are not checked.
 
     The scan (``row`` None) finds the arrival interval with the kind's walk,
     the search over the prefix ``row``, confined to ``window`` intervals
@@ -306,8 +315,10 @@ def _cross(
     k = locate_interval(division, t, policy, hint)
     first = cover(values, points, k, t)
     if first >= length:
+        # The same-interval exit. The routing engine takes it without this
+        # call when the arrival also stays before points[k + 1].
         cost = within(values, points, k, t, length)
-        return TraversalResult(cost, locate_interval(division, tau + cost, policy, k))
+        return cost, locate_interval(division, tau + cost, policy, k)
     # The arrival lies in interval stop (last + 1: past the horizon), entered
     # lead + points[stop] after tau with rest still to cover.
     remaining = length - first
@@ -340,7 +351,7 @@ def _cross(
         cost, stop = (horizon - t) + rest / values[-1], last
     else:
         cost = (lead + points[stop]) + within(values, points, stop, points[stop], rest)
-    return TraversalResult(cost, locate_interval(division, tau + cost, policy, stop))
+    return cost, locate_interval(division, tau + cost, policy, stop)
 
 
 def _search_arrival(

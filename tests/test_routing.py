@@ -11,6 +11,7 @@ from tdroute import (
     PERIODIC,
     STATIC,
     UNREACHABLE,
+    AelTable,
     Arc,
     OpCounter,
     SpeedProfile,
@@ -126,6 +127,26 @@ class TestValidation:
         result = shortest_paths(graph, build_ael(graph), 0, 6.0, "FATT")
         assert result.arrival[1] == 27.5
 
+    def test_prefix_table_must_match_the_graph(self):
+        graph = three_node_graph()
+        table = build_ael(graph)
+        wider = build_ael(TdGraph(3, graph.division, STATIC, CONSTANT,
+                                  graph.arcs + graph.arcs[:1]))
+        cases = (
+            ("fatt", AelTable(table.rows[:-1], table.window_bounds[:-1]),
+             "prefix table has 2 rows, graph has 3 arcs"),
+            ("b-fatt", wider, "prefix table has 4 rows, graph has 3 arcs"),
+            ("b-fatt", AelTable(table.rows),
+             "prefix table has 0 window bounds, graph has 3 arcs"),
+        )
+        for strategy, bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                shortest_paths(graph, bad, 0, 6.0, strategy)
+            with pytest.raises(ValueError, match=message):
+                shortest_path_to(graph, bad, 0, 2, 6.0, strategy)
+            with pytest.raises(ValueError, match=message):
+                traverse_arc(graph, bad, 0, 6.0, strategy)
+
 
 class TestOptimality:
     def test_matches_exhaustive_enumeration(self):
@@ -210,6 +231,37 @@ class TestRouteResultContract:
                     arc = graph.arcs[arc_index]
                     now += cost_fn(arc, graph.division, graph.policy, now).cost
                 assert now == pytest.approx(result.arrival[node], rel=1e-9)
+
+    def test_an_arrival_on_a_breakpoint_is_placed_past_it(self):
+        # Departing at 0, arc 0 covers its 50 m in exactly the 10 s of
+        # interval 0 and arrives on the breakpoint 10.0, which interval 1
+        # holds; arc 1 then departs from that node.
+        division = TimeDivision((0.0, 10.0, 20.0))
+        for kind in (CONSTANT, LINEAR):
+            speeds = (5.0, 2.0) if kind == CONSTANT else (5.0, 5.0, 5.0)
+            profile = SpeedProfile(kind, speeds)
+            for policy in (STATIC, PERIODIC):
+                graph = TdGraph(3, division, policy, kind, (
+                    Arc(0, 1, 50.0, profile), Arc(1, 2, 10.0, profile),
+                ))
+                table = build_ael(graph)
+                for strategy in strategies_for(kind):
+                    for departure in (0.0, 20.0, 40.0):
+                        result = shortest_paths(graph, table, 0, departure, strategy)
+                        arrival = result.arrival
+                        if departure == 0.0:
+                            assert arrival[1] == 10.0
+                        assert result.arrival_interval == [
+                            locate_interval(division, a, policy) for a in arrival
+                        ]
+                        now = departure
+                        for arc_index in (0, 1):
+                            now += traverse_arc(
+                                graph, table, arc_index, now, strategy
+                            ).cost
+                            assert arrival[arc_index + 1] == now
+                        p2p = shortest_path_to(graph, table, 0, 2, departure, strategy)
+                        assert p2p.arrival == arrival[2]
 
     def test_arrival_intervals_reported(self):
         graph = three_node_graph()
