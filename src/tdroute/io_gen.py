@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,13 +93,12 @@ def _num(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    lines = []
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line that holds more than a comment, as (line number, body)."""
     for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            lines.append((number, body.split()))
-    return lines
+            yield number, body
 
 
 def _parse(text: str) -> tuple[TdGraph | None, list[GraphFormatError]]:
@@ -106,19 +106,20 @@ def _parse(text: str) -> tuple[TdGraph | None, list[GraphFormatError]]:
 
     Structural problems (header, division, counts) end the parse at the
     first error; independent per-arc problems are all collected so a
-    validation pass can report every bad arc line at once.
+    validation pass can report every bad arc line at once. A line is split
+    into tokens only when taken, so one line's tokens are alive at a time.
     """
     lines = _content_lines(text)
-    cursor = 0
+    ahead = next(lines, None)  # the next content line; None past the end
+    last = 1  # the number of the last line taken
 
     def take(expected: str) -> tuple[int, list[str]]:
-        nonlocal cursor
-        if cursor >= len(lines):
-            last = lines[-1][0] if lines else 1
+        nonlocal ahead, last
+        if ahead is None:
             raise GraphFormatError(f"missing {expected} line", last)
-        entry = lines[cursor]
-        cursor += 1
-        return entry
+        last, body = ahead
+        ahead = next(lines, None)
+        return last, body.split()
 
     try:
         number, tokens = take("header")
@@ -180,10 +181,10 @@ def _parse(text: str) -> tuple[TdGraph | None, list[GraphFormatError]]:
             arcs.append(_parse_arc(tokens, number, kind, policy, nodes, intervals))
         except GraphFormatError as error:
             errors.append(error)
-            if cursor >= len(lines):
+            if ahead is None:
                 break
-    if cursor < len(lines):
-        errors.append(GraphFormatError("trailing content", lines[cursor][0]))
+    if ahead is not None:
+        errors.append(GraphFormatError("trailing content", ahead[0]))
     if errors:
         return None, errors
     return TdGraph(nodes, division, policy, kind, tuple(arcs)), errors
@@ -202,7 +203,11 @@ def _parse_arc(
     src = _parse_int(tokens[1], number)
     dst = _parse_int(tokens[2], number)
     length = _parse_float(tokens[3], number)
-    speeds = tuple(_parse_float(t, number) for t in tokens[4:])
+    try:
+        speeds = tuple(map(float, tokens[4:]))
+    except ValueError:
+        # Convert again token by token, to name the bad one.
+        speeds = tuple(_parse_float(t, number) for t in tokens[4:])
     try:
         arc = Arc(src, dst, length, SpeedProfile(kind, speeds))
         check_arc(arc, nodes, kind, intervals, policy)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import sub
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -42,6 +43,8 @@ class TimeDivision:
     """Breakpoints 0 = tau_0 < tau_1 < ... < tau_K = T, in seconds."""
 
     breakpoints: tuple[float, ...]
+    # tau_{k+1} - tau_k per interval, for building prefix rows in bulk.
+    _widths: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = tuple(float(b) for b in self.breakpoints)
@@ -55,6 +58,7 @@ class TimeDivision:
         for left, right in zip(points, points[1:]):
             if not left < right:
                 raise ValueError("non-increasing breakpoints")
+        object.__setattr__(self, "_widths", tuple(map(sub, points[1:], points)))
 
     @property
     def intervals(self) -> int:
@@ -77,13 +81,16 @@ class SpeedProfile:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("profile needs at least one speed")
-        for v in values:
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError("non-positive speed")
+        # Fast accept: min misses a NaN that is not first, but sum catches
+        # it and inf. The loop decides the rest, overflowing sums included.
+        if not (0.0 < min(values) and sum(values) < math.inf):
+            for v in values:
+                if not (math.isfinite(v) and v > 0.0):
+                    raise ValueError("non-positive speed")
 
     def expected_values(self, intervals: int) -> int:
         """How many speeds this kind needs for a K-interval division."""
@@ -150,8 +157,10 @@ class TdGraph:
         for index, arc in enumerate(self.arcs):
             check_arc(arc, self.nodes, self.kind, self.division.intervals, self.policy)
             outgoing[arc.src].append(index)
-            dst.append(arc.dst)
-            length.append(arc.length)
+            # New objects (x + 0 and x * 1.0 are exact): the targets and lengths
+            # the engine reads then lie together in memory, not among the speeds.
+            dst.append(arc.dst + 0)
+            length.append(arc.length * 1.0)
             speeds.append(arc.profile.values)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)

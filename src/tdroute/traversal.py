@@ -21,7 +21,8 @@ interval, the time to cover a distance inside one interval, and a walk
 over whole intervals. The first, taken from an interval's start, is that
 interval's span; :func:`effective_length`, :func:`build_ael` and the
 scan's period total all read it. The walk keeps its loop inline, because
-a call per interval would dominate the scan.
+a call per interval would dominate the scan, and a constant-kind prefix
+row takes every span in one pass, as speed times interval width.
 
 Departures past the measured horizon follow the graph's policy: under
 "static" the remainder is covered at the last measured speed in closed
@@ -49,7 +50,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import sub
+from operator import mul, sub
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -117,8 +118,9 @@ def effective_length(arc: Arc, division: TimeDivision, k: int) -> float:
 def build_ael(graph: TdGraph) -> AelTable:
     """Prefix-sum every arc's interval distances; O(mK) time and space.
 
-    Raises ValueError naming the first arc whose prefix sums cannot bound
-    a search (see :func:`compute_q`).
+    A constant-kind row is one ``accumulate`` of speed times interval
+    width. Raises ValueError naming the first arc whose prefix sums cannot
+    bound a search (see :func:`compute_q`).
     """
     table = AelTable(rows=[_prefix_row(arc, graph.division) for arc in graph.arcs])
     table.window_bounds = [
@@ -399,6 +401,9 @@ def _prefix_row(arc: Arc, division: TimeDivision) -> list[float]:
     interval: the arc's :class:`AelTable` row."""
     cover = _KINDS[arc.profile.kind].cover
     values = arc.profile.values
+    if cover is _cover_constant:
+        # cover(values, points, k, points[k]) for every k, in bulk
+        return list(accumulate(map(mul, values, division._widths)))
     points = division.breakpoints
     return list(
         accumulate(cover(values, points, k, points[k]) for k in range(len(points) - 1))

@@ -209,6 +209,66 @@ class TestDiagnostics:
         target.write_text(DEMO_TEXT)
         assert validate_file(target) == []
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # An arc error on the last line ends the arc list: no
+            # "missing arc line" follows it.
+            (
+                "tdgraph 1 constant static\ndivision 1 0 10\nnodes 3\narcs 3\n"
+                "arc 0 1 100 10\narc 1 1 100 10\n",
+                ["line 6: self-loop arc"],
+            ),
+            (
+                "tdgraph 1 constant static\ndivision 1 0 10\nnodes 3\narcs 1\n"
+                "arc 1 1 100 10\n\n# more\narc 0 1 100 10\n",
+                ["line 5: self-loop arc", "line 8: trailing content"],
+            ),
+            # A missing line points at the last content line, not at the
+            # comments and blank lines after it.
+            (
+                "tdgraph 1 constant static\n# c\n\ndivision 1 0 10\n\n# end\n",
+                ["line 4: missing nodes line"],
+            ),
+            (
+                "tdgraph 1 constant static\ndivision 1 0 10\nnodes 3\narcs 2\n"
+                "arc 0 1 100 10\n# note\n\n",
+                ["line 5: missing arc line"],
+            ),
+            (
+                "tdgraph 1 constant static\ndivision 1 0 10\nnodes 3\narcs 1\n"
+                "arc 0 1 100 10\n\n# note\narc 1 0 100 10\n",
+                ["line 8: trailing content"],
+            ),
+            ("", ["line 1: missing header line"]),
+            ("# only a comment\n\n", ["line 1: missing header line"]),
+        ],
+    )
+    def test_validate_lists_exactly(self, tmp_path, text, expected):
+        target = tmp_path / "g.tdg"
+        target.write_text(text)
+        assert [str(error) for error in validate_file(target)] == expected
+
+    @pytest.mark.parametrize("position", [0, 47, 95])
+    @pytest.mark.parametrize(
+        "token, message",
+        [(t, "non-positive speed") for t in ("nan", "inf", "-inf", "1e999", "-0.0", "0")]
+        + [("x", "invalid number 'x'")],
+    )
+    def test_bad_speed_on_a_long_line(self, token, message, position):
+        speeds = ["10"] * 96
+        speeds[position] = token
+        text = (
+            "tdgraph 1 constant static\n"
+            f"division 96 {' '.join(map(str, range(97)))}\n"
+            "nodes 2\narcs 2\n"
+            f"arc 0 1 100 {' '.join(['12'] * 96)}\n"
+            f"arc 1 0 100 {' '.join(speeds)}\n"
+        )
+        with pytest.raises(GraphFormatError) as caught:
+            loads(text)
+        assert str(caught.value) == f"line 6: {message}"
+
 
 class TestFuzz:
     def test_mutations_never_crash(self):

@@ -90,6 +90,22 @@ class TestSpeedProfileValidation:
         with pytest.raises(ValueError):
             SpeedProfile(CONSTANT, (-3.0,))
 
+    @pytest.mark.parametrize(
+        "speeds",
+        [
+            (math.nan, 10.0, 12.0),
+            (10.0, math.nan, 12.0),
+            (10.0, 12.0, math.nan),
+            (10.0, math.inf, 12.0),
+        ],
+    )
+    def test_rejects_nan_and_inf_anywhere(self, speeds):
+        with pytest.raises(ValueError, match="non-positive speed"):
+            SpeedProfile(CONSTANT, speeds)
+
+    def test_accepts_finite_speeds_whose_sum_overflows(self):
+        assert SpeedProfile(CONSTANT, (1e308, 1e308)).values == (1e308, 1e308)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             SpeedProfile("quadratic", (1.0,))

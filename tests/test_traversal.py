@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +33,19 @@ from tdroute import (
     locate_interval,
     sample_graph,
 )
-from tdroute.traversal import _linear_span, _search_arrival, _travel_time
-from support import integrate_motion, random_division, random_profile, single_arc_graph
+from tdroute.traversal import (
+    _linear_span,
+    _prefix_row,
+    _search_arrival,
+    _travel_time,
+)
+from support import (
+    integrate_motion,
+    random_division,
+    random_graph,
+    random_profile,
+    single_arc_graph,
+)
 
 DEMO = sample_graph()
 DEMO_ARC = DEMO.arcs[0]
@@ -87,6 +99,27 @@ class TestAelTable:
         arc = make_arc(50.0, CONSTANT, (10.0,))
         graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
         assert build_ael(graph).rows[0] == [100.0]
+
+    def test_rows_are_the_accumulated_spans_bit_for_bit(self):
+        # Every row is the running sum of the kind's per-interval span, and
+        # the scan's period total is the row's last entry.
+        rng = random.Random(17)
+        for kind in (CONSTANT, LINEAR):
+            for policy in (STATIC, PERIODIC):
+                for _ in range(10):
+                    graph = random_graph(rng, kind=kind, policy=policy)
+                    division = graph.division
+                    rows = build_ael(graph).rows
+                    assert len(rows) == graph.arc_count
+                    for arc, row in zip(graph.arcs, rows):
+                        spans = (
+                            effective_length(arc, division, k)
+                            for k in range(division.intervals)
+                        )
+                        want = list(accumulate(spans))
+                        assert list(map(float.hex, row)) == list(map(float.hex, want))
+                        total = _prefix_row(arc, division)[-1]
+                        assert total.hex() == row[-1].hex()
 
     def test_rows_strictly_increasing(self):
         rng = random.Random(2)
