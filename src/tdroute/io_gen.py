@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .model import (
     CONSTANT,
@@ -55,12 +56,17 @@ class GraphFormatError(ValueError):
 
 def load(path: str | Path) -> TdGraph:
     """Read a graph file, raising :class:`GraphFormatError` on the first
-    violation."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    violation. The file is read line by line, never held whole."""
+    with open(path, encoding="utf-8") as file:
+        return _graph(_parse(_file_lines(file)))
 
 
 def loads(text: str) -> TdGraph:
-    graph, errors = _parse(text)
+    return _graph(_parse(text.splitlines()))
+
+
+def _graph(parsed: tuple[TdGraph | None, list[GraphFormatError]]) -> TdGraph:
+    graph, errors = parsed
     if errors:
         raise errors[0]
     assert graph is not None
@@ -85,31 +91,42 @@ def dumps(graph: TdGraph) -> str:
 
 def validate_file(path: str | Path) -> list[GraphFormatError]:
     """All diagnostics for a file; empty when it loads cleanly."""
-    _, errors = _parse(Path(path).read_text(encoding="utf-8"))
-    return errors
+    with open(path, encoding="utf-8") as file:
+        return _parse(_file_lines(file))[1]
 
 
 def _num(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+def _file_lines(file: TextIO) -> Iterator[str]:
+    """The lines ``str.splitlines`` would give for the file's whole text.
+
+    The file object ends lines only at ``\\n``, ``\\r`` and ``\\r\\n``;
+    splitting each of its lines again ends them at ``\\v``, ``\\f``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029`` too.
+    """
+    for line in file:
+        yield from line.splitlines()
+
+
+def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Each line that holds more than a comment, as (line number, body)."""
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield number, body
 
 
-def _parse(text: str) -> tuple[TdGraph | None, list[GraphFormatError]]:
-    """Parse graph text.
+def _parse(lines: Iterable[str]) -> tuple[TdGraph | None, list[GraphFormatError]]:
+    """Parse graph text given as its lines, without their separators.
 
     Structural problems (header, division, counts) end the parse at the
     first error; independent per-arc problems are all collected so a
     validation pass can report every bad arc line at once. A line is split
     into tokens only when taken, so one line's tokens are alive at a time.
     """
-    lines = _content_lines(text)
+    lines = _content_lines(lines)
     ahead = next(lines, None)  # the next content line; None past the end
     last = 1  # the number of the last line taken
 
@@ -203,15 +220,14 @@ def _parse_arc(
     src = _parse_int(tokens[1], number)
     dst = _parse_int(tokens[2], number)
     length = _parse_float(tokens[3], number)
+    speeds = tokens[4:]
     try:
-        speeds = tuple(map(float, tokens[4:]))
-    except ValueError:
-        # Convert again token by token, to name the bad one.
-        speeds = tuple(_parse_float(t, number) for t in tokens[4:])
-    try:
+        # The profile converts the speed tokens in one pass.
         arc = Arc(src, dst, length, SpeedProfile(kind, speeds))
         check_arc(arc, nodes, kind, intervals, policy)
     except ValueError as error:
+        for token in speeds:
+            _parse_float(token, number)  # a bad token is named first
         raise GraphFormatError(str(error), number) from None
     return arc
 

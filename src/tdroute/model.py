@@ -77,6 +77,8 @@ class SpeedProfile:
 
     kind: str
     values: tuple[float, ...]
+    # The slowest speed, which bounds every crossing's time from above.
+    _slowest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -85,12 +87,14 @@ class SpeedProfile:
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("profile needs at least one speed")
+        slowest = min(values)
         # Fast accept: min misses a NaN that is not first, but sum catches
         # it and inf. The loop decides the rest, overflowing sums included.
-        if not (0.0 < min(values) and sum(values) < math.inf):
+        if not (0.0 < slowest and sum(values) < math.inf):
             for v in values:
                 if not (math.isfinite(v) and v > 0.0):
                     raise ValueError("non-positive speed")
+        object.__setattr__(self, "_slowest", slowest)
 
     def expected_values(self, intervals: int) -> int:
         """How many speeds this kind needs for a K-interval division."""
@@ -114,7 +118,7 @@ class Arc:
             raise ValueError("node id out of range")
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ValueError("non-positive arc length")
-        slowest = min(self.profile.values)
+        slowest = self.profile._slowest
         if not math.isfinite(self.length / slowest):
             raise ValueError(
                 f"crossing time overflows: {self.length!r} m at {slowest!r} m/s"
@@ -128,7 +132,9 @@ class TdGraph:
     Arcs keep their construction order (so external arc indices stay
     stable); adjacency is grouped by source node for scanning. The routing
     engine's hot loop reads each arc's target, length and speeds from flat
-    per-arc lists indexed like ``arcs``, built once here.
+    per-arc lists indexed like ``arcs``, built once here. The arcs are
+    checked against the graph in bulk; only when that check fails is each
+    one checked with :func:`check_arc`, to name the first bad arc.
     """
 
     nodes: int
@@ -150,18 +156,32 @@ class TdGraph:
             raise ValueError(f"unknown horizon policy {self.policy!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        arcs = self.arcs
+        src = [arc.src for arc in arcs]
+        profiles = [arc.profile for arc in arcs]
+        speeds = [profile.values for profile in profiles]
+        # New objects (x + 0 and x * 1.0 are exact): the targets and lengths
+        # the engine reads then lie together in memory, not among the speeds.
+        dst = [arc.dst + 0 for arc in arcs]
+        length = [arc.length * 1.0 for arc in arcs]
+        intervals = self.division.intervals
+        expected = intervals if self.kind == CONSTANT else intervals + 1
+        if arcs and not (
+            max(src) < self.nodes
+            and max(dst) < self.nodes
+            and {profile.kind for profile in profiles} == {self.kind}
+            and set(map(len, speeds)) == {expected}
+            and not (
+                self.policy == PERIODIC
+                and self.kind == LINEAR
+                and any(abs(v[0] - v[-1]) > SEAM_TOLERANCE for v in speeds)
+            )
+        ):
+            for arc in arcs:  # raises for the first bad arc
+                check_arc(arc, self.nodes, self.kind, intervals, self.policy)
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
-        dst: list[int] = []
-        length: list[float] = []
-        speeds: list[tuple[float, ...]] = []
-        for index, arc in enumerate(self.arcs):
-            check_arc(arc, self.nodes, self.kind, self.division.intervals, self.policy)
-            outgoing[arc.src].append(index)
-            # New objects (x + 0 and x * 1.0 are exact): the targets and lengths
-            # the engine reads then lie together in memory, not among the speeds.
-            dst.append(arc.dst + 0)
-            length.append(arc.length * 1.0)
-            speeds.append(arc.profile.values)
+        for index, start in enumerate(src):
+            outgoing[start].append(index)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
         )

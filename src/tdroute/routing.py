@@ -37,6 +37,44 @@ Each settled node remembers the interval its arrival lies in; that index
 seeds the next traversal call's interval location, making it O(1).
 A query owns its working state exclusively, so any number of queries may
 run concurrently over one shared graph/table.
+
+Point-to-point queries run A* whenever the table carries landmark lists
+(:func:`tdroute.traversal.build_ael` always adds them), whatever the
+strategy. A node reached at ``label`` enters the heap with the key
+``label + pi(v)``, where ``pi(v)`` is the landmark bound on the travel
+time from v to the target (:func:`tdroute.landmarks.potential`), computed
+the first time v is reached. One-to-all queries, and point-to-point ones
+without landmarks, use the label as the key: plain Dijkstra.
+
+* Admissible. No crossing of an arc is faster than ``length /
+  max(values)``: a constant speed never exceeds its largest value, a
+  linear one is largest at a breakpoint, and past the horizon both
+  policies reuse the same values. So static distances over these weights
+  bound every travel time from below, and by the triangle inequality each
+  landmark term ``d(v, L) - d(t, L)`` or ``d(L, t) - d(L, v)`` bounds the
+  static distance from v to t. A term whose two distances are both inf is
+  NaN and skipped, so no key is NaN; a key of inf means v cannot reach t.
+* Ordered. Heap entries are ``(key, label, node)``, so equal keys pop in
+  label order, and a key that rounding would put below the key of the
+  node it was reached from is raised to that key. Keys therefore pop in
+  non-decreasing order, which the loop asserts.
+* Exact under rounding. The potentials are shrunk by the factor
+  ``landmarks.SCALE`` (1 - 1e-6), not reopened when a label improves. A
+  node v settles at plain Dijkstra's label ``D(v)`` as long as every node
+  x before it on Dijkstra's path to v has ``fl(D(x) + pi(x)) <=
+  fl(D(v) + pi(v))``: then the first node of that path not yet settled
+  pops before any worse label of v, and hands v the label Dijkstra gives
+  it, through the same crossing computation. In exact arithmetic the
+  right side exceeds the left by at least 1e-6 of the static distance
+  from x to v. Rounding takes back a few ulps of the distance lists and
+  of the labels per arc, which the lists' per-arc triangle inequality
+  (exact in floating point) keeps from compounding. So the margin holds
+  whenever a crossing on the way lasts over about 2e6 ulps of the labels
+  (3e-5 s for labels near a day); only a chain of crossings all shorter
+  than that, reaching v within a few ulps of its best label, could settle
+  v early. The target's arrival is then bit-identical to plain
+  Dijkstra's. When two paths reach a node at exactly the same instant,
+  the path returned may be the other one.
 """
 
 from __future__ import annotations
@@ -45,6 +83,7 @@ import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+from .landmarks import potential, targeting
 from .model import CONSTANT, LINEAR, TdGraph, locate_interval
 from .traversal import (
     _KINDS,
@@ -166,7 +205,7 @@ def traverse_arc(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """One arc traversal as the route engine makes it (debug-level query)."""
-    rows, windows = _check_strategy(graph, ael, strategy)
+    rows, windows, _ = _check_strategy(graph, ael, strategy)
     if not 0 <= arc_index < graph.arc_count:
         raise ValueError(f"arc index {arc_index} out of range")
     _check_departure(departure)
@@ -178,10 +217,12 @@ def traverse_arc(
 
 def _check_strategy(
     graph: TdGraph, ael: AelTable | None, strategy: str
-) -> tuple[list[list[float]] | None, list[int] | None]:
+) -> tuple[list[list[float]] | None, list[int] | None, list]:
     """The kernel's per-arc prefix rows (None for a scan) and search windows
-    (None unless windowed) under ``strategy``, once it suits the graph and
-    the table has one of each per arc of the graph."""
+    (None unless windowed) under ``strategy``, and the table's landmark
+    lists (empty without a table), once the strategy suits the graph and
+    the table has one row and window per arc and one landmark distance per
+    node of the graph."""
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -191,8 +232,15 @@ def _check_strategy(
             f"strategy {strategy!r} requires {kind} profiles, "
             f"graph has {graph.kind}"
         )
+    landmarks = [] if ael is None else ael.landmarks
+    for distances in (d for pair in landmarks for d in pair):
+        if len(distances) != graph.nodes:
+            raise ValueError(
+                f"landmark distance list has {len(distances)} entries, "
+                f"graph has {graph.nodes} nodes"
+            )
     if not searches:
-        return None, None
+        return None, None, landmarks
     if ael is None:
         raise ValueError(f"strategy {strategy!r} needs a prefix table")
     if len(ael.rows) != graph.arc_count:
@@ -201,13 +249,13 @@ def _check_strategy(
             f"{graph.arc_count} arcs"
         )
     if not windowed:
-        return ael.rows, None
+        return ael.rows, None, landmarks
     if len(ael.window_bounds) != graph.arc_count:
         raise ValueError(
             f"prefix table has {len(ael.window_bounds)} window bounds, "
             f"graph has {graph.arc_count} arcs"
         )
-    return ael.rows, ael.window_bounds
+    return ael.rows, ael.window_bounds, landmarks
 
 
 def _run(
@@ -218,7 +266,7 @@ def _run(
     strategy: str,
     stop_at: int | None,
 ) -> RouteResult:
-    rows, windows = _check_strategy(graph, ael, strategy)
+    rows, windows, landmarks = _check_strategy(graph, ael, strategy)
     if not 0 <= source < graph.nodes:
         raise ValueError("node id out of range")
     _check_departure(departure)
@@ -244,16 +292,24 @@ def _run(
     calls = 0
     inf = math.inf
 
+    # A* towards stop_at when the table carries landmarks: each node's
+    # potential, computed the first time the node is reached.
+    terms = None
+    if stop_at is not None and landmarks:
+        terms = targeting(landmarks, stop_at)
+        potentials: list[float | None] = [None] * n
+
     arrival[source] = departure
     hint[source] = locate_interval(division, departure, policy)
-    frontier: list[tuple[float, int]] = [(departure, source)]
-    previous_label = -math.inf
+    # Heap entries are (key, label, node): equal keys pop in label order.
+    frontier: list[tuple[float, float, int]] = [(departure, departure, source)]
+    previous_key = -math.inf
     while frontier:
-        label, node = heappop(frontier)
+        key, label, node = heappop(frontier)
         if settled[node]:
             continue  # stale heap entry superseded by a better label
-        assert label >= previous_label, "labels must settle in order"
-        previous_label = label
+        assert key >= previous_key, "keys must settle in order"
+        previous_key = key
         settled[node] = True
         settled_count += 1
         if node == stop_at:
@@ -298,14 +354,23 @@ def _run(
                 arrival[dst] = candidate
                 predecessor[dst] = node
                 hint[dst] = interval
-                heappush(frontier, (candidate, dst))
+                if terms is None:
+                    heappush(frontier, (candidate, candidate, dst))
+                    continue
+                bound = potentials[dst]
+                if bound is None:
+                    bound = potentials[dst] = potential(terms, dst)
+                # A key never falls below the key it was reached from.
+                step = candidate + bound
+                heappush(frontier, (step if step > key else key, candidate, dst))
     stats.settled = settled_count
     stats.traversal_calls = calls
+    # hint[x] is None exactly where arrival[x] is inf.
     return RouteResult(
         source=source,
         departure=departure,
         arrival=arrival,
         predecessor=predecessor,
-        arrival_interval=[h if a != UNREACHABLE else None for h, a in zip(hint, arrival)],
+        arrival_interval=hint,
         stats=stats,
     )

@@ -53,6 +53,7 @@ from itertools import accumulate
 from operator import mul, sub
 from typing import Callable, NamedTuple
 
+from .landmarks import build_landmarks
 from .model import (
     CONSTANT,
     LINEAR,
@@ -100,11 +101,15 @@ class AelTable:
     ``rows[i][j]`` is the distance covered on arc ``i`` from tau_0 through
     the end of interval ``j``; rows are strictly increasing because speeds
     are strictly positive. ``window_bounds[i]`` caches the smallest valid
-    search window for arc ``i`` (see :func:`compute_q`).
+    search window for arc ``i`` (see :func:`compute_q`). ``landmarks``
+    holds one ``(away, back)`` pair of static distance lists per landmark,
+    from it to every node and from every node to it, which bound
+    point-to-point queries from below (see :mod:`tdroute.landmarks`).
     """
 
     rows: list[list[float]]
     window_bounds: list[int] = field(default_factory=list)
+    landmarks: list[tuple[list[float], list[float]]] = field(default_factory=list)
 
 
 def effective_length(arc: Arc, division: TimeDivision, k: int) -> float:
@@ -119,13 +124,15 @@ def build_ael(graph: TdGraph) -> AelTable:
     """Prefix-sum every arc's interval distances; O(mK) time and space.
 
     A constant-kind row is one ``accumulate`` of speed times interval
-    width. Raises ValueError naming the first arc whose prefix sums cannot
-    bound a search (see :func:`compute_q`).
+    width. The table also carries the landmark distance lists, a few
+    static Dijkstra runs. Raises ValueError naming the first arc whose
+    prefix sums cannot bound a search (see :func:`compute_q`).
     """
     table = AelTable(rows=[_prefix_row(arc, graph.division) for arc in graph.arcs])
     table.window_bounds = [
         compute_q(arc, table, i) for i, arc in enumerate(graph.arcs)
     ]
+    table.landmarks = build_landmarks(graph)
     return table
 
 

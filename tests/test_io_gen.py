@@ -57,6 +57,54 @@ class TestLoad:
         assert load(target) == sample_graph()
 
 
+# Every line boundary str.splitlines knows.
+SEPARATORS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029")
+
+
+class TestReadLineByLine:
+    """``load`` and ``validate_file`` read the file line by line and number
+    the lines as ``str.splitlines`` does for the whole text."""
+
+    @pytest.mark.parametrize("separator", SEPARATORS)
+    def test_every_separator_ends_a_line(self, tmp_path, separator):
+        target = tmp_path / "g.tdg"
+        lines = DEMO_TEXT.splitlines()
+        target.write_bytes(separator.join(lines).encode())
+        assert load(target) == sample_graph()
+        lines[-1] = "arc 0 1 170 10 6 8 -10"
+        lines.insert(2, "")
+        target.write_bytes((separator.join(lines) + separator).encode())
+        assert [str(e) for e in validate_file(target)] == [
+            "line 7: non-positive speed"
+        ]
+
+    def test_mixed_separators_number_lines_like_the_text(self, tmp_path):
+        body = (
+            "# mixed\n\ntdgraph 1 constant static\ndivision 1 0 10\n"
+            "nodes 3\narcs 4\narc 0 1 100 10\n\n# gap\narc 1 1 100 10\n"
+            "arc 0 2 100 x\narc 2 0 100 10\n\n"
+        ).splitlines()
+        target = tmp_path / "g.tdg"
+        for shift in range(len(SEPARATORS)):
+            separators = SEPARATORS[shift:] + SEPARATORS[:shift]
+            text = "".join(
+                line + separators[i % len(separators)]
+                for i, line in enumerate(body)
+            )
+            target.write_bytes(text.encode())
+            # The text's own numbering, through loads.
+            with pytest.raises(GraphFormatError) as caught:
+                loads(text)
+            errors = [str(e) for e in validate_file(target)]
+            assert errors[0] == str(caught.value)
+            assert len(errors) == 2 and "invalid number 'x'" in errors[1]
+            fixed = text.replace("arc 1 1", "arc 1 2").replace(" x", " 9")
+            target.write_bytes(fixed.encode())
+            assert validate_file(target) == []
+            assert load(target) == loads(fixed)
+
+
 class TestRoundTrip:
     def test_load_save_identity(self):
         rng = random.Random(90)

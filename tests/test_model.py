@@ -20,7 +20,7 @@ from tdroute import (
     sample_graph,
     speed_at,
 )
-from tdroute.model import MAX_NODES
+from tdroute.model import MAX_NODES, check_arc
 from support import brute_locate, random_division, random_profile
 
 DEMO_DIVISION = TimeDivision((0.0, 10.0, 15.0, 30.0, 40.0))
@@ -181,6 +181,26 @@ class TestTdGraphValidation:
         profile = SpeedProfile(CONSTANT, (10.0,))
         with pytest.raises(ValueError):
             TdGraph(2, division, STATIC, CONSTANT, (Arc(0, 5, 5.0, profile),))
+
+    def test_a_bad_arc_among_good_ones_gets_its_own_error(self):
+        # The graph checks its arcs in bulk and falls back to check_arc to
+        # name the first bad one: the error is check_arc's, first bad first.
+        division = TimeDivision((0.0, 10.0))
+        good = Arc(0, 1, 5.0, SpeedProfile(LINEAR, (10.0, 10.0)))
+        bad_arcs = (
+            Arc(0, 3, 5.0, SpeedProfile(LINEAR, (10.0, 10.0))),
+            Arc(3, 0, 5.0, SpeedProfile(LINEAR, (10.0, 10.0))),
+            Arc(0, 1, 5.0, SpeedProfile(LINEAR, (10.0,))),
+            Arc(0, 1, 5.0, SpeedProfile(CONSTANT, (10.0,))),
+            Arc(0, 1, 5.0, SpeedProfile(LINEAR, (10.0, 12.0))),
+        )
+        for bad in bad_arcs:
+            with pytest.raises(ValueError) as expected:
+                check_arc(bad, 3, LINEAR, 1, PERIODIC)
+            for arcs in ((good, good, bad, good), (bad, bad_arcs[0], good)):
+                with pytest.raises(ValueError) as caught:
+                    TdGraph(3, division, PERIODIC, LINEAR, arcs)
+                assert str(caught.value) == str(expected.value)
 
     def test_adjacency_grouping(self):
         division = TimeDivision((0.0, 10.0))

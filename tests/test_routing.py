@@ -26,7 +26,8 @@ from tdroute import (
     shortest_paths,
     traverse_arc,
 )
-from support import enumerate_arrivals, random_graph
+from tdroute.landmarks import LANDMARKS, build_landmarks, potential, targeting
+from support import enumerate_arrivals, random_graph, random_profile
 
 
 def three_node_graph():
@@ -311,13 +312,200 @@ class TestRouteResultContract:
             assert result.stats.settled == reachable
 
 
-ENGINE_DIGEST = "f85cfed41e22f021150e603a2f7553fd7535e0003509df5878f2903a49bb29e9"
+def grid(rng, kind, policy, side, lengths):
+    """A side x side grid with an arc each way between neighbours; each arc
+    draws its length from ``lengths`` and its speeds at random, half of
+    them flat, so that the static bound is tight there."""
+    division = TimeDivision((0.0, 15.0, 40.0, 60.0))
+    count = division.intervals + (kind == LINEAR)
+    arcs = []
+    for a in range(side * side):
+        for b in (a + 1, a + side):
+            if b < side * side and (b == a + side or b % side):
+                length = rng.choice(lengths)()
+                for u, v in ((a, b), (b, a)):
+                    profile = random_profile(rng, kind, division.intervals, policy)
+                    if rng.random() < 0.5:
+                        profile = SpeedProfile(kind, (max(profile.values),) * count)
+                    arcs.append(Arc(u, v, length, profile))
+    return TdGraph(side * side, division, policy, kind, tuple(arcs))
 
 
-def engine_corpus():
+def tiny_beside_long(rng, kind, policy):
+    """A grid whose arcs are 1e3 to 1e4 m or 1e-7 to 1e-6 m long: lengths
+    1e9 to 1e11 times apart."""
+    lengths = (lambda: rng.uniform(1e3, 1e4), lambda: rng.uniform(1e-7, 1e-6))
+    return grid(rng, kind, policy, rng.randint(3, 5), lengths)
+
+
+def departures(rng, horizon):
+    return (rng.uniform(0.0, horizon), rng.uniform(horizon, 4.0 * horizon),
+            1e5 + rng.uniform(0.0, horizon))
+
+
+class TestLandmarks:
+    def test_lists_are_static_distances_from_farthest_first_landmarks(self):
+        rng = random.Random(90)
+        for _ in range(40):
+            graph = random_graph(rng, max_nodes=8)
+            n = graph.nodes
+            # Floyd-Warshall over length / top speed, the oracle.
+            dist = [[0.0 if u == v else math.inf for v in range(n)] for u in range(n)]
+            for arc in graph.arcs:
+                weight = arc.length / max(arc.profile.values)
+                dist[arc.src][arc.dst] = min(dist[arc.src][arc.dst], weight)
+            for k in range(n):
+                for u in range(n):
+                    for v in range(n):
+                        dist[u][v] = min(dist[u][v], dist[u][k] + dist[k][v])
+            lists = build_landmarks(graph)
+            assert len(lists) == min(LANDMARKS, n)
+            nearest = dist[0]
+            picked = []
+            for away, back in lists:
+                landmark = away.index(0.0)
+                assert back[landmark] == 0.0
+                farthest = max(nearest[v] for v in range(n) if v not in picked)
+                assert nearest[landmark] == pytest.approx(farthest, rel=1e-12)
+                for v in range(n):
+                    assert away[v] == pytest.approx(dist[landmark][v], rel=1e-12)
+                    assert back[v] == pytest.approx(dist[v][landmark], rel=1e-12)
+                picked.append(landmark)
+                nearest = [min(dist[p][v] for p in picked) for v in range(n)]
+            assert len(set(picked)) == len(picked)
+
+    def test_keys_never_decrease_along_an_arc(self):
+        # Pins the margin: shrunk potentials make the key grow along every
+        # arc whose crossing is not itself below the keys' rounding; with
+        # unshrunk ones, rounding makes some of them fall.
+        rng = random.Random(91)
+        for _ in range(8):
+            for kind in (CONSTANT, LINEAR):
+                for policy in (STATIC, PERIODIC):
+                    graph = tiny_beside_long(rng, kind, policy)
+                    table = build_ael(graph)
+                    strategy = strategies_for(kind)[-1]
+                    for departure in departures(rng, graph.division.horizon):
+                        source = rng.randrange(graph.nodes)
+                        arrival = shortest_paths(
+                            graph, table, source, departure, strategy).arrival
+                        crossings = [
+                            (arc, arrival[arc.src], traverse_arc(
+                                graph, table, i, arrival[arc.src], strategy).cost)
+                            for i, arc in enumerate(graph.arcs)
+                        ]
+                        for target in range(graph.nodes):
+                            terms = targeting(table.landmarks, target)
+                            for arc, label, cost in crossings:
+                                if cost > 1e-3:
+                                    assert (label + cost) + potential(terms, arc.dst) \
+                                        >= label + potential(terms, arc.src)
+
+    def test_tiny_arcs_beside_long_ones_keep_the_answers_exact(self):
+        rng = random.Random(92)
+        for _ in range(8):
+            for kind in (CONSTANT, LINEAR):
+                for policy in (STATIC, PERIODIC):
+                    graph = tiny_beside_long(rng, kind, policy)
+                    table = build_ael(graph)
+                    plain = AelTable(table.rows, table.window_bounds)
+                    for strategy in strategies_for(kind):
+                        for departure in departures(rng, graph.division.horizon):
+                            source = rng.randrange(graph.nodes)
+                            full = shortest_paths(graph, table, source, departure, strategy)
+                            for target in range(graph.nodes):
+                                fast = shortest_path_to(
+                                    graph, table, source, target, departure, strategy)
+                                slow = shortest_path_to(
+                                    graph, plain, source, target, departure, strategy)
+                                assert fast.arrival == full.arrival[target] == slow.arrival
+                                assert fast.path == full.path_to(target) == slow.path
+                                assert fast.stats.settled <= slow.stats.settled
+
+    def test_disconnected_graphs_give_no_nan_and_the_same_answers(self):
+        rng = random.Random(93)
+        unreachable = 0
+        for _ in range(120):
+            graph = random_graph(rng)
+            table = build_ael(graph)
+            for target in range(graph.nodes):
+                terms = targeting(table.landmarks, target)
+                for node in range(graph.nodes):
+                    assert not math.isnan(potential(terms, node))
+            strategy = strategies_for(graph.kind)[0]
+            departure = rng.uniform(0.0, 2.0 * graph.division.horizon)
+            source = rng.randrange(graph.nodes)
+            full = shortest_paths(graph, table, source, departure, strategy)
+            for target in range(graph.nodes):
+                p2p = shortest_path_to(graph, table, source, target, departure, strategy)
+                assert p2p.arrival == full.arrival[target]
+                assert p2p.path == full.path_to(target)
+                unreachable += p2p.path is None
+        assert unreachable > 100
+
+    def test_unreachable_target_and_source_as_target(self):
+        # Two components, 0 <-> 1 and 2 -> 3: each node is its own landmark.
+        division = TimeDivision((0.0, 10.0))
+        profile = SpeedProfile(CONSTANT, (10.0,))
+        graph = TdGraph(4, division, STATIC, CONSTANT, (
+            Arc(0, 1, 50.0, profile), Arc(1, 0, 50.0, profile),
+            Arc(2, 3, 30.0, profile),
+        ))
+        table = build_ael(graph)
+        assert len(table.landmarks) == 4
+        for strategy in ("att", "fatt", "b-fatt"):
+            for source, target in ((0, 2), (0, 3), (3, 2), (1, 3)):
+                outcome = shortest_path_to(graph, table, source, target, 4.0, strategy)
+                assert outcome.path is None
+                assert outcome.arrival == UNREACHABLE
+            for node in range(4):
+                outcome = shortest_path_to(graph, table, node, node, 4.0, strategy)
+                assert outcome.path == [node]
+                assert outcome.arrival == 4.0
+                assert outcome.stats.settled == 1
+            assert shortest_path_to(graph, table, 2, 3, 4.0, strategy).arrival == 7.0
+
+    def test_landmark_lists_must_match_the_graph(self):
+        graph = three_node_graph()
+        table = build_ael(graph)
+        away, back = table.landmarks[1]
+        cases = (
+            ([(away, back[:-1])], "landmark distance list has 2 entries, graph has 3 nodes"),
+            ([(away + [0.0], back)], "landmark distance list has 4 entries, graph has 3 nodes"),
+        )
+        for landmarks, message in cases:
+            bad = AelTable(table.rows, table.window_bounds, landmarks)
+            for strategy in ("att", "fatt", "b-fatt"):
+                with pytest.raises(ValueError, match=message):
+                    shortest_path_to(graph, bad, 0, 2, 6.0, strategy)
+                with pytest.raises(ValueError, match=message):
+                    shortest_paths(graph, bad, 0, 6.0, strategy)
+
+    def test_point_to_point_settles_fewer_nodes_on_a_grid(self):
+        rng = random.Random(94)
+        graph = grid(rng, CONSTANT, STATIC, 12, (lambda: rng.uniform(50.0, 500.0),))
+        table = build_ael(graph)
+        plain = AelTable(table.rows, table.window_bounds)
+        fast = slow = 0
+        for _ in range(20):
+            source, target = rng.randrange(144), rng.randrange(144)
+            departure = rng.uniform(0.0, 60.0)
+            fast += shortest_path_to(graph, table, source, target, departure, "fatt").stats.settled
+            slow += shortest_path_to(graph, plain, source, target, departure, "fatt").stats.settled
+        assert fast < 0.6 * slow
+
+
+ENGINE_DIGEST = "f032436f604252957006b56866e2430961be5f01d7d0d11cae25c48413059ccf"
+# The same corpus without the point-to-point stats: every one-to-all result,
+# every arc traversal and every point-to-point path and arrival.
+ANSWER_DIGEST = "32392358f7994a9bc5532e1cf70d93ca15d2a661ca19b68bd53fe4f1cd075e50"
+
+
+def engine_corpus(p2p_stats=True):
     """Lines covering every query, point-to-point answer and arc traversal
     over seeded graphs of both kinds and both policies, for every strategy
-    of the graph's kind."""
+    of the graph's kind; ``p2p_stats`` False leaves the point-to-point
+    stats out."""
     rng = random.Random(5)
     for _ in range(30):
         for kind in (CONSTANT, LINEAR):
@@ -341,7 +529,8 @@ def engine_corpus():
                         p = shortest_path_to(
                             graph, table, source, target, departure, strategy
                         )
-                        yield strategy, f"{p.path} {p.arrival!r} {p.stats}"
+                        stats = f" {p.stats}" if p2p_stats else ""
+                        yield strategy, f"{p.path} {p.arrival!r}{stats}"
                         right = locate_interval(division, departure, policy)
                         stale = (right + 1) % division.intervals
                         for index in range(graph.arc_count):
@@ -354,15 +543,22 @@ def engine_corpus():
                                 yield strategy, f"{t!r} {counter!r}"
 
 
+def corpus_digest(p2p_stats=True):
+    digest = hashlib.sha256()
+    lines = Counter()
+    for strategy, line in engine_corpus(p2p_stats):
+        lines[strategy] += 1
+        digest.update(f"{strategy} {line}\n".encode())
+    assert lines == {
+        "att": 2376, "fatt": 2376, "b-fatt": 2376,
+        "att-linear": 2412, "l-fatt": 2412,
+    }
+    return digest.hexdigest()
+
+
 class TestPinnedOutput:
     def test_every_strategy_reproduces_the_pinned_engine_output(self):
-        digest = hashlib.sha256()
-        lines = Counter()
-        for strategy, line in engine_corpus():
-            lines[strategy] += 1
-            digest.update(f"{strategy} {line}\n".encode())
-        assert lines == {
-            "att": 2376, "fatt": 2376, "b-fatt": 2376,
-            "att-linear": 2412, "l-fatt": 2412,
-        }
-        assert digest.hexdigest() == ENGINE_DIGEST
+        assert corpus_digest() == ENGINE_DIGEST
+
+    def test_every_strategy_reproduces_the_pinned_answers(self):
+        assert corpus_digest(p2p_stats=False) == ANSWER_DIGEST
