@@ -66,6 +66,7 @@ def loads(text: str) -> TdGraph:
 
 
 def _graph(parsed: tuple[TdGraph | None, list[GraphFormatError]]) -> TdGraph:
+    """The parsed graph; raises the parse's first error instead."""
     graph, errors = parsed
     if errors:
         raise errors[0]

@@ -18,6 +18,7 @@ and the routing engine turns them into A* keys.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from heapq import heappop, heappush
 from operator import truediv
 
@@ -27,12 +28,15 @@ from .model import TdGraph
 # More landmarks cut few further nodes on grids and cost more set-up.
 LANDMARKS = 4
 
-# Every potential is scaled down by this factor, far more than the
-# rounding in the distance lists, so that a key grows along an arc by a
-# margin its own rounding cannot undo (see :mod:`tdroute.routing`).
+# Every potential is shrunk by this factor, far more than the rounding in
+# the distance lists, so that keys grow along a path by more than rounding
+# takes back (:mod:`tdroute.routing` gives the argument and its limit).
 SCALE = 1.0 - 1e-6
 
 Distances = list[float]
+# A landmark's lists with their entries at the target: back, back[t],
+# away, away[t].
+Term = tuple[Distances, float, Distances, float]
 
 
 def build_landmarks(graph: TdGraph) -> list[tuple[Distances, Distances]]:
@@ -65,15 +69,12 @@ def build_landmarks(graph: TdGraph) -> list[tuple[Distances, Distances]]:
     return lists
 
 
-def targeting(
-    landmarks: list[tuple[Distances, Distances]], target: int
-) -> list[tuple[Distances, float, Distances, float]]:
-    """Per landmark, its lists with their entries at ``target``: the terms
-    :func:`potential` reads."""
+def targeting(landmarks: list[tuple[Distances, Distances]], target: int) -> list[Term]:
+    """The terms :func:`potential` reads for ``target``, one per landmark."""
     return [(back, back[target], away, away[target]) for away, back in landmarks]
 
 
-def potential(terms: list[tuple[Distances, float, Distances, float]], node: int) -> float:
+def potential(terms: list[Term], node: int) -> float:
     """A lower bound on the travel time from ``node`` to the target of
     ``terms``, scaled by :data:`SCALE`: never NaN, inf when ``node``
     provably cannot reach the target."""
@@ -92,7 +93,7 @@ def potential(terms: list[tuple[Distances, float, Distances, float]], node: int)
 
 def _distances(
     source: int,
-    adjacency,
+    adjacency: Sequence[Sequence[int]],
     ends: list[int],
     weights: list[float],
     n: int,

@@ -184,7 +184,8 @@ def shortest_path_to(
     departure: float,
     strategy: str,
 ) -> PathResult:
-    """Point-to-point query; stops as soon as ``target`` settles."""
+    """Point-to-point query; stops as soon as ``target`` settles. Runs A*
+    over the table's landmark lists when it carries them."""
     if not 0 <= target < graph.nodes:
         raise ValueError("node id out of range")
     result = _run(graph, ael, source, departure, strategy, stop_at=target)
