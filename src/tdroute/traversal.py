@@ -68,10 +68,6 @@ from .model import (
     speed_line,
 )
 
-# Below this magnitude (m/s^2) the speed line is treated as flat and the
-# traversal time degrades to distance/speed, avoiding cancellation.
-FLAT_SLOPE = 1e-12
-
 
 @dataclass
 class OpCounter:
@@ -142,16 +138,18 @@ def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     Bounds the arrival search of :func:`bounded_fatt` to Q consecutive
     intervals. Computed once per arc at preprocessing time. Raises
     ValueError when some interval adds no distance to the prefix sums, or
-    so little that length/Q overflows: the arrival search needs strictly
-    increasing rows.
+    so little that length/Q overflows, or when the sums themselves
+    overflow: the arrival search needs finite, strictly increasing rows.
     """
-    shortest = _smallest_step(_row(ael, index))
+    row = _row(ael, index)
+    name = f"arc {index} ({arc.src}->{arc.dst})"
+    if not row[-1] < math.inf:
+        raise ValueError(f"{name}: the distance it covers by the horizon overflows")
+    shortest = _smallest_step(row)
     bound = arc.length / shortest if shortest > 0.0 else math.inf
     if not math.isfinite(bound):
-        raise ValueError(
-            f"arc {index} ({arc.src}->{arc.dst}): an interval covers only "
-            f"{shortest!r} m of its {arc.length!r} m length"
-        )
+        raise ValueError(f"{name}: an interval covers only {shortest!r} m of "
+                         f"its {arc.length!r} m length")
     return max(1, math.ceil(bound))
 
 
@@ -332,7 +330,9 @@ def _cross(
     # lead + points[stop] after tau with rest still to cover.
     remaining = length - first
     if row is None:
-        stop, rest = walk(values, points, k + 1, last + 1, remaining, counter)
+        stop, rest = walk(values, points, k + 1, last + 1, remaining)
+        if counter is not None:
+            counter.steps += min(stop, last) - k
     elif remaining <= row[last] - row[k]:
         hi = last if window is None else min(k + 1 + window, last)
         stop, consumed = _search_arrival(row, k + 1, remaining, hi, counter)
@@ -348,9 +348,9 @@ def _cross(
         repeats, rest = divmod(rest, total)
         lead = (horizon - t) + repeats * horizon
         if row is None:
-            if counter is not None:
-                counter.steps += last + 1  # the period total visits every interval
-            stop, rest = walk(values, points, 0, last, rest, counter)
+            stop, rest = walk(values, points, 0, last, rest)
+            if counter is not None:  # the period total visits every interval
+                counter.steps += last + 1 + min(stop + 1, last)
         else:
             hi = last if window is None else min(window, last)
             stop, consumed = _search_arrival(row, 0, rest, hi, counter)
@@ -428,7 +428,7 @@ class _Kind(NamedTuple):
     ``cover(values, points, k, t)``: distance coverable from ``t`` to the
     end of interval ``k``. ``within(values, points, k, t, d)``: time to
     cover ``d`` departing at ``t`` inside interval ``k``. ``walk(values,
-    points, start, end, remaining, counter)``: the first interval j in
+    points, start, end, remaining)``: the first interval j in
     [start, end) whose whole span holds ``remaining``, with the distance
     still left at its start, as (j, rest); (end, rest) when none does.
     """
@@ -446,17 +446,13 @@ def _within_constant(values, points, k, t, d):
     return d / values[k]
 
 
-def _walk_constant(values, points, start, end, remaining, counter):
+def _walk_constant(values, points, start, end, remaining):
     for j in range(start, end):
         # _cover_constant(values, points, j, points[j]), inline
         span = values[j] * (points[j + 1] - points[j])
         if span >= remaining:
-            if counter is not None:
-                counter.steps += j - start + 1
             return j, remaining
         remaining -= span
-    if counter is not None:
-        counter.steps += end - start
     return end, remaining
 
 
@@ -470,16 +466,12 @@ def _within_linear(values, points, k, t, d):
     return _travel_time(slope, intercept, t, d)
 
 
-def _walk_linear(values, points, start, end, remaining, counter):
+def _walk_linear(values, points, start, end, remaining):
     for j in range(start, end):
         span = _cover_linear(values, points, j, points[j])
         if span >= remaining:
-            if counter is not None:
-                counter.steps += j - start + 1
             return j, remaining
         remaining -= span
-    if counter is not None:
-        counter.steps += end - start
     return end, remaining
 
 
@@ -497,16 +489,23 @@ def _linear_span(slope: float, intercept: float, t0: float, t1: float) -> float:
 def _travel_time(slope: float, intercept: float, start: float, dist: float) -> float:
     """Time to cover ``dist`` departing at ``start`` on a linear speed.
 
-    Solves slope*c^2/2 + (slope*start + intercept)*c = dist for the unique
-    positive root, written in the cancellation-free conjugate form
-    2*dist / (u + sqrt(u^2 + 2*slope*dist)).
+    The root 2*dist / (u + sqrt(u^2 + 2*slope*dist)), u the speed at
+    ``start``, cancels at no slope; a negative discriminant is rounding (the
+    speed stays positive to the interval's end) and counts as 0.
     """
     if dist <= 0.0:
         return 0.0
     speed = slope * start + intercept
-    if abs(slope) < FLAT_SLOPE:
-        return dist / speed
     disc = speed * speed + 2.0 * slope * dist
-    if disc < 0.0:
-        raise AssertionError("speed line vanished inside the interval")
-    return 2.0 * dist / (speed + math.sqrt(disc))
+    if speed > 0.0 and 1e-290 < disc < 1e290:
+        return dist / (speed + math.sqrt(disc)) * 2.0
+    # Out of range, or rounded below 0: redo it in units of 2^e near max(u,
+    # sqrt(2*slope*dist)), which scale exactly; a term that is 0 sets no scale.
+    (ms, es), (ma, ea), (md, ed) = map(math.frexp, (speed, slope, dist))
+    e = max(es if ms else -1100, (ea + ed) >> 1 if ma else -1100)
+    u = math.ldexp(ms, es - e)
+    disc = u * u + math.ldexp(2.0 * ma * md, ea + ed - 2 * e)
+    denominator = u + math.sqrt(max(disc, 0.0))
+    if not denominator > 0.0:
+        raise ValueError(f"speed {speed!r} m/s cannot cover {dist!r} m")
+    return math.ldexp(md / denominator, ed + 1 - e)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from tdroute import GeneratorConfig, dumps, generate, sample_graph, save
+from tdroute.bench import ChecksumMismatch
 from tdroute.cli import main
 from tdroute.model import MAX_NODES
 
@@ -163,6 +164,57 @@ class TestRoute:
                     assert code == 2, (policy, argv)
                     assert out == ""
                     assert err.startswith("tdroute: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("policy, division, speeds, length, want", [
+        # The speed line falls from 30 to 1e-100 m/s and the arc takes the
+        # whole interval: the discriminant rounds below zero at its end.
+        ("static", "1 0 3.3", "30 1e-100", "49.5", "3.2999999999999998"),
+        # The speed line computes to exactly 0 at 3.3 s, so the rest of the
+        # crossing rests on the next interval's slope alone.
+        ("periodic", "2 0 3.3 100003.3", "1e-100 1e-150 1e-100",
+         "5.000000000000001e-96", "100001.64998638729"),
+    ])
+    def test_linear_arcs_where_the_speed_nearly_vanishes_answer(
+        self, tmp_path, capsys, policy, division, speeds, length, want
+    ):
+        path = tmp_path / "vanishing.tdg"
+        path.write_text(
+            f"tdgraph 1 linear {policy}\ndivision {division}\n"
+            f"nodes 2\narcs 1\narc 0 1 {length} {speeds}\n"
+        )
+        reports = []
+        for strategy in ("att-linear", "l-fatt"):
+            code, out, _ = run_cli(
+                capsys, "route", str(path), "0", "--target", "1", "--csv",
+                "--strategy", strategy,
+            )
+            assert code == 0
+            assert out.splitlines()[1] == f"1,{want},0 1"
+            code, out, _ = run_cli(capsys, "att", str(path), "0", "--strategy", strategy)
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+    def test_an_overflowing_prefix_row_is_a_usage_error(self, tmp_path, capsys):
+        # 7 s at 1e308 m/s covers more than the largest float: the search
+        # strategies need a finite prefix row, the scan does not.
+        path = tmp_path / "overflow.tdg"
+        path.write_text(
+            "tdgraph 1 constant static\ndivision 1 0 7\n"
+            "nodes 2\narcs 1\narc 0 1 1 1e308\n"
+        )
+        argv = ("route", str(path), "0", "--departure", "10", "--target", "1")
+        code, out, _ = run_cli(capsys, *argv, "--csv", "--strategy", "att")
+        assert code == 0
+        assert out.splitlines()[1] == "1,10,0 1"
+        for strategy in ("fatt", "b-fatt"):
+            code, out, err = run_cli(capsys, *argv, "--strategy", strategy)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "tdroute: arc 0 (0->1): the distance it covers by the horizon "
+                "overflows\n"
+            )
 
     def test_att_and_fatt_reports_agree_on_generated_graphs(self, tmp_path, capsys):
         for seed in range(100):
@@ -346,6 +398,22 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert "at least one strategy" in err
+
+    def test_kmin_below_two_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--kmin", "1", "--kmax", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "tdroute: need 2 <= kmin <= kmax\n"
+
+    def test_checksum_mismatch_exits_1(self, monkeypatch, capsys):
+        def disagree(config):
+            raise ChecksumMismatch("result checksum mismatch at K=4")
+
+        monkeypatch.setattr("tdroute.cli.run_sweep", disagree)
+        code, out, err = run_cli(capsys, "bench", "--kmin", "4", "--kmax", "4")
+        assert code == 1
+        assert out == ""
+        assert err == "tdroute: result checksum mismatch at K=4\n"
 
 
 class TestEntryPoint:

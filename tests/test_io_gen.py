@@ -176,6 +176,8 @@ def mutate(lines, kind):
         out[4] = "arc 1 1 170 10 6 8 10"
     elif kind == "bad-number":
         out[4] = "arc 0 1 fast 10 6 8 10"
+    elif kind == "bad-integer":
+        out[4] = "arc 0 one 170 10 6 8 10"
     elif kind == "truncated":
         out = out[:4]
     elif kind == "trailing":
@@ -205,6 +207,7 @@ EXPECTED_DIAGNOSTIC = {
     "node-id": "node id out of range",
     "self-loop": "self-loop arc",
     "bad-number": "invalid number",
+    "bad-integer": "invalid integer 'one'",
     "truncated": "missing arc line",
     "trailing": "trailing content",
 }

@@ -124,6 +124,11 @@ class TestArcValidation:
         with pytest.raises(ValueError):
             Arc(0, 1, 0.0, SpeedProfile(CONSTANT, (10.0,)))
 
+    def test_rejects_a_negative_node_id(self):
+        for src, dst in ((-1, 1), (0, -2)):
+            with pytest.raises(ValueError, match="node id out of range"):
+                Arc(src, dst, 100.0, SpeedProfile(CONSTANT, (10.0,)))
+
     def test_rejects_a_crossing_that_takes_no_finite_time(self):
         # 1 m at 1e-320 m/s (or 1e300 m at 1e-10 m/s) overflows to inf.
         for length, speeds in ((1.0, (10.0, 1e-320)), (1e300, (1e-10, 5.0))):

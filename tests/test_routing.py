@@ -102,6 +102,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             shortest_paths(graph, None, 5, 0.0, "att")
 
+    def test_bad_target(self):
+        graph = three_node_graph()
+        result = shortest_paths(graph, None, 0, 0.0, "att")
+        for target in (-1, 3):
+            with pytest.raises(ValueError, match="node id out of range"):
+                shortest_path_to(graph, None, 0, target, 0.0, "att")
+            with pytest.raises(ValueError, match="node id out of range"):
+                result.path_to(target)
+
     def test_negative_departure(self):
         graph = sample_graph()
         for departure in (-1.0, math.nan, math.inf):

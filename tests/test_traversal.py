@@ -33,6 +33,7 @@ from tdroute import (
     locate_interval,
     sample_graph,
 )
+from tdroute.model import speed_line
 from tdroute.traversal import (
     _linear_span,
     _prefix_row,
@@ -167,6 +168,19 @@ class TestComputeQ:
         arc = make_arc(100.0, CONSTANT, (30.0,))
         graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
         assert compute_q(arc, build_ael(graph), 0) == 1
+
+    def test_a_row_whose_total_overflows_raises(self):
+        # 7 s at 1e308 m/s: the row is [inf], whose only step is not small.
+        division = TimeDivision((0.0, 7.0))
+        arc = make_arc(1.0, CONSTANT, (1e308,))
+        graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
+        table = AelTable(rows=[_prefix_row(arc, division)])
+        assert table.rows == [[math.inf]]
+        message = r"^arc 0 \(0->1\): the distance it covers by the horizon overflows$"
+        with pytest.raises(ValueError, match=message):
+            compute_q(arc, table, 0)
+        with pytest.raises(ValueError, match=message):
+            build_ael(graph)
 
 
 class TestAtt:
@@ -487,6 +501,37 @@ class TestQuadraticRoot:
     def test_flat_slope_shortcut(self):
         assert _travel_time(0.0, 10.0, 5.0, 30.0) == 3.0
         assert _travel_time(1e-15, 10.0, 5.0, 30.0) == pytest.approx(3.0)
+
+    def test_a_discriminant_rounding_below_zero_counts_as_zero(self):
+        # 30 m/s falling to 1e-100 m/s over 3.3 s covers 49.5 m: the speed
+        # at the end squares to about 0, which u^2 + 2*slope*d undershoots.
+        slope, intercept = speed_line((30.0, 1e-100), (0.0, 3.3), 0)
+        assert intercept * intercept + 2.0 * slope * 49.5 < 0.0
+        assert _travel_time(slope, intercept, 0.0, 49.5) == 2.0 * 49.5 / 30.0
+
+    def test_a_speed_that_vanishes_is_a_value_error(self):
+        for slope, intercept in ((0.0, 0.0), (-1.0, 0.0), (0.0, -1.0)):
+            with pytest.raises(ValueError, match="cannot cover 1.0 m"):
+                _travel_time(slope, intercept, 0.0, 1.0)
+
+    def test_flat_line_is_distance_over_speed_at_every_magnitude(self):
+        # u^2 overflows past 1.3e154 m/s and loses bits below 1.5e-154.
+        magnitudes = (5e-324, 1e-300, 1e-160, 0.1, 3.0, 1e160, 1e300, 1e308)
+        for speed in magnitudes:
+            for dist in magnitudes:
+                if 0.0 < dist / speed < math.inf:
+                    assert _travel_time(0.0, speed, 0.0, dist) == dist / speed
+
+    def test_root_matches_the_plain_formula_bit_for_bit(self):
+        rng = random.Random(62)
+        for _ in range(5000):
+            slope = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-15.0, 3.0)
+            speed = 10 ** rng.uniform(-6.0, 6.0)
+            dist = 10 ** rng.uniform(-6.0, 8.0)
+            disc = speed * speed + 2.0 * slope * dist
+            if disc >= 0.0:
+                plain = 2.0 * dist / (speed + math.sqrt(disc))
+                assert _travel_time(slope, speed, 0.0, dist) == plain
 
 
 class TestSearchArrival:
