@@ -4,10 +4,11 @@ Each cell of a sweep builds one two-node graph whose single arc is long
 enough (``span`` of the total distance coverable over the horizon) that a
 traversal crosses a sizable share of the K intervals, then runs the same
 departure instants through every requested strategy. Every query goes
-through :func:`routing.traverse_arc`, the dispatch the route engine uses.
-Operation counters are the primary evidence (deterministic, machine
-independent): sequential strategies report interval steps, binary-search
-strategies report probes. Wall time is recorded as secondary data.
+through :func:`routing.traverse_arc`. Operation counters are the primary
+evidence (deterministic, machine independent): sequential strategies report
+interval steps, binary-search strategies report probes. Wall time is
+secondary; ``wall_ns`` includes strategy and table checks that the route
+engine makes once per query, not once per crossing.
 
 Every strategy in a cell must produce the same costs (relative tolerance
 1e-9) and identical arrival intervals; a mismatch raises
@@ -21,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .io_gen import _random_profile
+from .io_gen import MAX_INTERVALS, _random_profile
 from .model import STATIC, Arc, TdGraph, TimeDivision
 from .routing import _PLANS, STRATEGIES, traverse_arc
 from .traversal import AelTable, OpCounter, _prefix_row, _smallest_step, build_ael
@@ -55,6 +56,8 @@ class SweepConfig:
             raise ValueError("sweep needs at least one K value")
         if any(k < 2 for k in self.k_values):
             raise ValueError("K must be at least 2")
+        if max(self.k_values) > MAX_INTERVALS:
+            raise ValueError(f"K {max(self.k_values)} exceeds the cap of {MAX_INTERVALS}")
         if self.queries < 0:
             raise ValueError("query count must be non-negative")
         if not 0.0 < self.span < 1.0:

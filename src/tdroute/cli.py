@@ -182,12 +182,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         window=args.window,
     )
     try:
-        records = run_sweep(config)
+        records = run_sweep(config) if config.queries else []
     except ChecksumMismatch as error:
         print(f"tdroute: {error}", file=sys.stderr)
         return 1
-    if config.queries == 0:
-        records = []
     text = to_csv(records)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -237,6 +235,3 @@ def _pretty(x: float) -> str:
 def _raw(x: float) -> str:
     return "inf" if math.isinf(x) else f"{x:.17g}"
 
-
-if __name__ == "__main__":
-    sys.exit(main())

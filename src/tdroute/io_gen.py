@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,14 @@ from .model import (
 )
 
 FORMAT_VERSION = "1"
+
+# Caps that keep `generate` and the one-arc bench under about 1 GB, as
+# MAX_NODES does a loaded graph. Either holds about 180 B per interval (a
+# float and its slot in the breakpoints, widths, speeds and prefix row), so
+# 2^22 intervals take 750 MB. `generate` and `save` need about 800 B per arc
+# (its objects, draw, adjacency slot and text) and 90 B per speed.
+MAX_INTERVALS = 2**22
+MAX_GENERATED_BYTES = 2**30
 
 
 class GraphFormatError(ValueError):
@@ -263,8 +272,9 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         _check_node_count(self.nodes)
-        if self.intervals < 1:
-            raise ValueError("interval count must be at least 1")
+        if not 1 <= self.intervals <= MAX_INTERVALS:
+            raise ValueError(f"interval count {self.intervals} is not in "
+                             f"[1, {MAX_INTERVALS}]")
         # The division draws its breakpoints strictly inside (0, horizon):
         # an infinite horizon or one without room for them never finishes.
         if not sys.float_info.min <= self.horizon < math.inf:
@@ -280,6 +290,11 @@ class GeneratorConfig:
             raise ValueError("degenerate length range")
         if not 0.0 <= self.avg_degree <= self.nodes - 1:
             raise ValueError("average degree must be in [0, nodes-1]")
+        arcs = round(self.nodes * self.avg_degree)
+        size = arcs * (800 + 90 * (self.intervals + 1))
+        if size > MAX_GENERATED_BYTES:
+            raise ValueError(f"{arcs} arcs over {self.intervals} intervals need "
+                             f"about {size} B, over the cap of {MAX_GENERATED_BYTES} B")
         if self.kind not in KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.policy not in POLICIES:
@@ -293,7 +308,7 @@ def generate(config: GeneratorConfig) -> TdGraph:
 
     n = config.nodes
     target_arcs = round(n * config.avg_degree)
-    chosen: list[set[int]] = [set() for _ in range(n)]
+    chosen: defaultdict[int, set[int]] = defaultdict(set)  # made on first draw
     order: list[tuple[int, int]] = []
     if config.avg_degree >= 1.0:
         for src in range(n):

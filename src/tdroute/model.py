@@ -132,9 +132,9 @@ class TdGraph:
     Arcs keep their construction order (so external arc indices stay
     stable); adjacency is grouped by source node for scanning. The routing
     engine's hot loop reads each arc's target, length and speeds from flat
-    per-arc lists indexed like ``arcs``, built once here. The arcs are
-    checked against the graph in bulk; only when that check fails is each
-    one checked with :func:`check_arc`, to name the first bad arc.
+    per-arc lists indexed like ``arcs``, built once here. Each arc is
+    checked against the graph with :func:`check_arc` as it is grouped, so
+    the first bad arc raises.
     """
 
     nodes: int
@@ -157,31 +157,16 @@ class TdGraph:
         if self.kind not in KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         arcs = self.arcs
-        src = [arc.src for arc in arcs]
-        profiles = [arc.profile for arc in arcs]
-        speeds = [profile.values for profile in profiles]
+        speeds = [arc.profile.values for arc in arcs]
         # New objects (x + 0 and x * 1.0 are exact): the targets and lengths
         # the engine reads then lie together in memory, not among the speeds.
         dst = [arc.dst + 0 for arc in arcs]
         length = [arc.length * 1.0 for arc in arcs]
         intervals = self.division.intervals
-        expected = intervals if self.kind == CONSTANT else intervals + 1
-        if arcs and not (
-            max(src) < self.nodes
-            and max(dst) < self.nodes
-            and {profile.kind for profile in profiles} == {self.kind}
-            and set(map(len, speeds)) == {expected}
-            and not (
-                self.policy == PERIODIC
-                and self.kind == LINEAR
-                and any(abs(v[0] - v[-1]) > SEAM_TOLERANCE for v in speeds)
-            )
-        ):
-            for arc in arcs:  # raises for the first bad arc
-                check_arc(arc, self.nodes, self.kind, intervals, self.policy)
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
-        for index, start in enumerate(src):
-            outgoing[start].append(index)
+        for index, arc in enumerate(arcs):
+            check_arc(arc, self.nodes, self.kind, intervals, self.policy)
+            outgoing[arc.src].append(index)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
         )

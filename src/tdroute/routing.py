@@ -205,7 +205,7 @@ def traverse_arc(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """One arc traversal as the route engine makes it (debug-level query)."""
+    """One arc traversal through the engine's crossing kernel (debug-level query)."""
     rows, windows, _ = _check_strategy(graph, ael, strategy)
     if not 0 <= arc_index < graph.arc_count:
         raise ValueError(f"arc index {arc_index} out of range")

@@ -142,14 +142,14 @@ def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     overflow: the arrival search needs finite, strictly increasing rows.
     """
     row = _row(ael, index)
-    name = f"arc {index} ({arc.src}->{arc.dst})"
     if not row[-1] < math.inf:
-        raise ValueError(f"{name}: the distance it covers by the horizon overflows")
+        raise ValueError(f"arc {index} ({arc.src}->{arc.dst}): the distance it "
+                         "covers by the horizon overflows")
     shortest = _smallest_step(row)
     bound = arc.length / shortest if shortest > 0.0 else math.inf
     if not math.isfinite(bound):
-        raise ValueError(f"{name}: an interval covers only {shortest!r} m of "
-                         f"its {arc.length!r} m length")
+        raise ValueError(f"arc {index} ({arc.src}->{arc.dst}): an interval covers "
+                         f"only {shortest!r} m of its {arc.length!r} m length")
     return max(1, math.ceil(bound))
 
 

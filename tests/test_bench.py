@@ -5,6 +5,7 @@ import pytest
 
 from tdroute import ChecksumMismatch, SweepConfig, run_sweep, to_csv
 from tdroute.bench import _verify, run_cell
+from tdroute.io_gen import MAX_INTERVALS
 
 
 class TestSweepConfig:
@@ -27,6 +28,8 @@ class TestSweepConfig:
             SweepConfig(**{**good, "window": 0})
         with pytest.raises(ValueError):
             SweepConfig(**{**good, "strategies": ()})
+        with pytest.raises(ValueError, match=f"K {MAX_INTERVALS + 1} exceeds the cap"):
+            SweepConfig(**{**good, "k_values": (8, MAX_INTERVALS + 1)})
 
 
 class TestRunCell:

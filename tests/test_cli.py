@@ -140,6 +140,30 @@ class TestRoute:
                 assert code == 2
                 assert "line 5: crossing time overflows" in err
 
+    def test_an_absorbed_step_is_a_usage_error_for_the_searches(self, tmp_path, capsys):
+        # The 1 m interval's step of the prefix row rounds away against
+        # 1e20 m, so the row reads [1e20, 1e20]. The scan answers 16385;
+        # a search on that row would answer 16386, so the searches refuse.
+        path = tmp_path / "absorbed.tdg"
+        path.write_text(
+            "tdgraph 1 constant static\ndivision 2 0 1 2\nnodes 2\narcs 1\n"
+            "arc 0 1 100000000000000016384 1e20 1\n"
+        )
+        code, out, err = run_cli(
+            capsys, "route", str(path), "0", "--strategy", "att"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "1 16385 0"
+        for strategy in ("fatt", "b-fatt"):
+            code, out, err = run_cli(
+                capsys, "route", str(path), "0", "--strategy", strategy
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith(
+                "tdroute: arc 0 (0->1): an interval covers only 0.0 m"
+            )
+            assert err.count("\n") == 1
+
     def test_tiny_speed_arc_under_the_scan_is_a_usage_error(self, tmp_path, capsys):
         # The scan strategies build no prefix table, so the crossing's cost
         # overflows (static) or the period covers 0 m (periodic).
@@ -321,6 +345,23 @@ class TestGenValidate:
         assert code == 2
         assert "horizon must be finite and at least" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--intervals", "1099511627776"),
+             "interval count 1099511627776 is not in [1, 4194304]"),
+            (("--nodes", "16777216", "--avg-degree", "16777215"),
+             "281474959933440 arcs over 8 intervals need about"),
+        ],
+        ids=["intervals", "arcs"],
+    )
+    def test_gen_rejects_a_size_over_its_cap(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.tdg"
+        code, stdout, err = run_cli(capsys, "gen", str(out), *argv)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"tdroute: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_validate_lists_every_arc_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.tdg"
         bad.write_text(
@@ -358,6 +399,20 @@ class TestBench:
                                "--queries", "0")
         assert code == 0
         assert out.strip() == "strategy,K,n,m,Q,queries,probes,wall_ns"
+
+    def test_zero_queries_run_no_sweep(self, monkeypatch, capsys):
+        def fail(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("tdroute.cli.run_sweep", fail)
+        code, out, _ = run_cli(capsys, "bench", "--queries", "0")
+        assert code == 0
+        assert out == "strategy,K,n,m,Q,queries,probes,wall_ns\n"
+
+    def test_kmax_over_the_cap_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--kmax", "1099511627776")
+        assert (code, out) == (2, "")
+        assert err == "tdroute: K 1099511627776 exceeds the cap of 4194304\n"
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "bench.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -21,6 +22,7 @@ from tdroute import (
     shortest_paths,
     validate_file,
 )
+from tdroute.io_gen import MAX_INTERVALS
 from tdroute.model import MAX_NODES
 from support import random_graph, static_dijkstra
 
@@ -370,6 +372,25 @@ class TestGenerator:
         b = generate(GeneratorConfig(seed=2, **base))
         assert dumps(a) != dumps(b)
 
+    def test_seeded_output_is_pinned(self):
+        # Sparse, dense and below-one degrees; the digest changes with any
+        # change to the seeded draws.
+        digest = hashlib.sha256()
+        for nodes, degree, kind, policy in (
+            (12, 2.5, CONSTANT, STATIC),
+            (40, 0.5, LINEAR, PERIODIC),
+            (5, 3.9, LINEAR, STATIC),
+        ):
+            config = GeneratorConfig(
+                nodes=nodes, avg_degree=degree, intervals=4, horizon=600.0,
+                speed_range=(5.0, 30.0), length_range=(50.0, 500.0),
+                kind=kind, policy=policy, seed=8,
+            )
+            digest.update(dumps(generate(config)).encode())
+        assert digest.hexdigest() == (
+            "57b3c728e8032370d929dd1f72e2c964665a22acef06633461d5c95724476ebb"
+        )
+
     def test_single_isolated_node(self):
         config = GeneratorConfig(
             nodes=1, avg_degree=0.0, intervals=2, horizon=60.0,
@@ -402,6 +423,8 @@ class TestGenerator:
             dict(avg_degree=10.0),   # exceeds nodes-1
             dict(kind="cubic"),
             dict(policy="sometimes"),
+            dict(intervals=MAX_INTERVALS + 1),
+            dict(nodes=MAX_NODES, avg_degree=2.0),   # about 2^35 B of arcs
         ],
     )
     def test_degenerate_configs_rejected(self, overrides):

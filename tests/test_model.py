@@ -59,6 +59,10 @@ class TestLocateInterval:
                 with pytest.raises(ValueError):
                     locate_interval(DEMO_DIVISION, t, policy)
 
+    def test_an_unknown_policy_past_the_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown horizon policy 'weekly'"):
+            locate_interval(DEMO_DIVISION, 45.0, "weekly")
+
     def test_static_clamps_past_horizon(self):
         assert locate_interval(DEMO_DIVISION, 40.0, STATIC) == 3
         assert locate_interval(DEMO_DIVISION, 1e9, STATIC) == 3
@@ -176,6 +180,13 @@ class TestTdGraphValidation:
         near = SpeedProfile(LINEAR, (10.0, 10.0 + 5e-10))
         TdGraph(2, division, PERIODIC, LINEAR, (Arc(0, 1, 5.0, near),))
 
+    def test_unknown_policy_or_kind_rejected(self):
+        division = TimeDivision((0.0, 10.0))
+        with pytest.raises(ValueError, match="unknown horizon policy 'weekly'"):
+            TdGraph(2, division, "weekly", CONSTANT, ())
+        with pytest.raises(ValueError, match="unknown profile kind 'cubic'"):
+            TdGraph(2, division, STATIC, "cubic", ())
+
     def test_node_count_is_capped_before_allocating(self):
         division = TimeDivision((0.0, 10.0))
         with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_NODES}"):
@@ -188,8 +199,8 @@ class TestTdGraphValidation:
             TdGraph(2, division, STATIC, CONSTANT, (Arc(0, 5, 5.0, profile),))
 
     def test_a_bad_arc_among_good_ones_gets_its_own_error(self):
-        # The graph checks its arcs in bulk and falls back to check_arc to
-        # name the first bad one: the error is check_arc's, first bad first.
+        # The graph checks each arc with check_arc: the error is
+        # check_arc's, first bad first.
         division = TimeDivision((0.0, 10.0))
         good = Arc(0, 1, 5.0, SpeedProfile(LINEAR, (10.0, 10.0)))
         bad_arcs = (

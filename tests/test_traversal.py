@@ -250,6 +250,10 @@ class TestArgumentChecks:
                 with pytest.raises(ValueError, match="speed count mismatch"):
                     call(policy)
 
+    def test_an_unknown_policy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown horizon policy 'weekly'"):
+            att(DEMO_ARC, DEMO.division, "weekly", 6.0)
+
     def test_a_table_index_without_a_row_raises(self):
         # A negative index must not wrap around to the last arc's row.
         config = dict(
@@ -509,6 +513,9 @@ class TestQuadraticRoot:
         assert intercept * intercept + 2.0 * slope * 49.5 < 0.0
         assert _travel_time(slope, intercept, 0.0, 49.5) == 2.0 * 49.5 / 30.0
 
+    def test_no_distance_takes_no_time_even_at_no_speed(self):
+        assert _travel_time(0.0, 0.0, 0.0, 0.0) == 0.0
+
     def test_a_speed_that_vanishes_is_a_value_error(self):
         for slope, intercept in ((0.0, 0.0), (-1.0, 0.0), (0.0, -1.0)):
             with pytest.raises(ValueError, match="cannot cover 1.0 m"):
@@ -657,6 +664,10 @@ class TestInterpolation:
             interp_piecewise_linear(self.SAMPLES, 10.1)
         with pytest.raises(ValueError, match="outside the sampled range"):
             interp_piecewise_linear(self.SAMPLES, math.nan)
+
+    def test_one_sample_rejected(self):
+        with pytest.raises(ValueError, match="need at least two samples"):
+            interp_piecewise_linear([(0.0, 20.0)], 0.0)
 
     def test_unsorted_samples_rejected(self):
         with pytest.raises(ValueError):
