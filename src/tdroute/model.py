@@ -210,7 +210,7 @@ def locate_interval(
     if not t >= 0.0:
         raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
     points = division.breakpoints
-    last = division.intervals - 1
+    last = len(points) - 2
     if t >= points[-1]:
         if t == math.inf:
             raise ValueError("time instant must be finite, got inf")

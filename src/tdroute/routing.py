@@ -10,18 +10,28 @@ target, length and speed lists (built once by :class:`TdGraph`), the
 breakpoints and the table's prefix rows and windows. No
 ``TraversalResult`` is allocated per relaxation.
 
-On realistic networks most crossings end in the interval they depart in,
-so the loop takes that exit of the crossing kernel ``traversal._cross``
-itself. For a node settled at ``label`` inside the horizon, in interval k,
-an arc relaxes at cost ``length / values[k]`` with arrival interval k when
-``values[k] * (points[k+1] - label) >= length`` and ``label + cost <
-points[k+1]``: the kernel's own test and cost, the kind's ``cover`` and
-``within``, inlined for constant speeds and called for linear ones.
-Every other crossing is one kernel call: one that spans intervals, one
-that arrives on or past ``points[k+1]``, and every crossing from a label
-at or past the horizon. Both ways give the same bits, so answers and
-counters do not depend on which one ran. The strategy picks the
-procedure the kernel runs:
+The loop takes the two common exits of the crossing kernel
+``traversal._cross`` itself. For a node settled at ``label`` inside the
+horizon, in interval k:
+
+* Same interval, as most crossings on realistic networks end. An arc
+  relaxes at cost ``length / values[k]`` with arrival interval k when
+  ``values[k] * (points[k+1] - label) >= length`` and ``label + cost <
+  points[k+1]``: the kernel's own test and cost, the kind's ``cover`` and
+  ``within``, inlined for constant speeds and called for linear ones.
+* Searched, as every crossing is in the paper's regime of long arcs and
+  short intervals. When the test above fails, a searching strategy whose
+  prefix row says the arrival lies within the horizon calls the kernel's
+  search core ``traversal._searched`` directly, as the kernel does. The
+  arrival keeps the core's interval ``stop`` when ``points[stop] <=
+  label + cost < points[stop+1]``; otherwise ``locate_interval`` places
+  it, as in the kernel.
+
+Every other crossing is one kernel call: a scan's, one that ends in its
+departure interval on or past ``points[k+1]``, one that arrives past the
+horizon, and every crossing from a label at or past the horizon. Both
+ways give the same bits, so answers and counters do not depend on which
+one ran. The strategy picks the procedure the kernel runs:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -92,6 +102,7 @@ from .traversal import (
     TraversalResult,
     _check_departure,
     _cross,
+    _searched,
 )
 
 ATT = "att"
@@ -276,6 +287,7 @@ def _run(
     policy = graph.policy
     points = division.breakpoints
     horizon = points[-1]
+    last = len(points) - 2
     constant = graph.kind == CONSTANT
     cover, within, _ = _KINDS[graph.kind]
     arcs = graph.arcs
@@ -341,6 +353,27 @@ def _run(
             if label + cost < end:
                 # _cross's same-interval exit, arriving before the interval ends.
                 interval = k
+            elif (
+                # _cross's searched exit: the same-interval test failed, so the
+                # remaining distance (recomputed here to keep it off that
+                # exit's path) is positive, and the prefix row puts the
+                # arrival within the horizon.
+                inside
+                and rows is not None
+                and 0.0 < (remaining := length - (
+                    speeds[arc_index][k] * room if constant
+                    else cover(speeds[arc_index], points, k, label)
+                )) <= (row := rows[arc_index])[last] - row[k]
+            ):
+                cost, interval = _searched(
+                    within, speeds[arc_index], row, points, k + 1, -label,
+                    remaining, None if windows is None else windows[arc_index],
+                    stats,
+                )
+                arrive = label + cost
+                # _cross's locate_interval call, inline while the hint holds
+                if not points[interval] <= arrive < points[interval + 1]:
+                    interval = locate_interval(division, arrive, policy, interval)
             else:
                 # The stats serve as the kernel's counter: it adds to probes
                 # and steps.

@@ -34,8 +34,11 @@ The public procedures validate their arguments once, call the unchecked
 kernel and wrap its ``(cost, arrival interval)`` pair in a
 :class:`TraversalResult`. The routing engine, which validates once per
 query, calls the kernel directly and keeps the pair, allocating nothing
-per relaxation; it resolves a crossing that ends inside its departure
-interval itself, with the kind's ``cover``/``within``.
+per relaxation. For a departure inside the horizon it skips the kernel's
+prelude: it resolves a crossing that ends inside its departure interval
+itself, with the kind's ``cover``/``within``, and hands one whose
+searched arrival lies within the horizon to the kernel's search core,
+``_searched``, which holds the only arrival search and its cost.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -304,9 +307,10 @@ def _cross(
     interval); arguments are not checked.
 
     The scan (``row`` None) finds the arrival interval with the kind's walk,
-    the search over the prefix ``row``, confined to ``window`` intervals
-    unless None. locate_interval verifies it as a hint, so a crossing that
-    ends on a breakpoint still lands in the right interval.
+    the search (:func:`_searched`) over the prefix ``row``, confined to
+    ``window`` intervals unless None. locate_interval verifies it as a
+    hint, so a crossing that ends on a breakpoint still lands in the right
+    interval.
     """
     cover, within, walk = _KINDS[arc.profile.kind]
     values = arc.profile.values
@@ -326,17 +330,19 @@ def _cross(
         # call when the arrival also stays before points[k + 1].
         cost = within(values, points, k, t, length)
         return cost, locate_interval(division, tau + cost, policy, k)
+    remaining = length - first
+    if row is not None and remaining <= row[last] - row[k]:
+        # The routing engine calls the search core itself for a label inside
+        # the horizon.
+        cost, stop = _searched(within, values, row, points, k + 1, -t, remaining,
+                               window, counter)
+        return cost, locate_interval(division, tau + cost, policy, stop)
     # The arrival lies in interval stop (last + 1: past the horizon), entered
     # lead + points[stop] after tau with rest still to cover.
-    remaining = length - first
     if row is None:
         stop, rest = walk(values, points, k + 1, last + 1, remaining)
         if counter is not None:
             counter.steps += min(stop, last) - k
-    elif remaining <= row[last] - row[k]:
-        hi = last if window is None else min(k + 1 + window, last)
-        stop, consumed = _search_arrival(row, k + 1, remaining, hi, counter)
-        rest = remaining - consumed
     else:
         stop, rest = last + 1, remaining - (row[last] - row[k])
     lead = -t
@@ -347,20 +353,47 @@ def _cross(
             raise ValueError(f"arc {arc.src}->{arc.dst}: a period covers no distance")
         repeats, rest = divmod(rest, total)
         lead = (horizon - t) + repeats * horizon
-        if row is None:
-            stop, rest = walk(values, points, 0, last, rest)
-            if counter is not None:  # the period total visits every interval
-                counter.steps += last + 1 + min(stop + 1, last)
-        else:
-            hi = last if window is None else min(window, last)
-            stop, consumed = _search_arrival(row, 0, rest, hi, counter)
-            rest -= consumed
+        if row is not None:
+            cost, stop = _searched(within, values, row, points, 0, lead, rest,
+                                   window, counter)
+            return cost, locate_interval(division, tau + cost, policy, stop)
+        stop, rest = walk(values, points, 0, last, rest)
+        if counter is not None:  # the period total visits every interval
+            counter.steps += last + 1 + min(stop + 1, last)
     if stop > last:
         # Static tail: the rest at the last measured speed.
         cost, stop = (horizon - t) + rest / values[-1], last
     else:
         cost = (lead + points[stop]) + within(values, points, stop, points[stop], rest)
     return cost, locate_interval(division, tau + cost, policy, stop)
+
+
+def _searched(
+    within: Callable[..., float],
+    values: tuple[float, ...],
+    row: list[float],
+    points: tuple[float, ...],
+    start: int,
+    lead: float,
+    remaining: float,
+    window: int | None,
+    counter: OpCounter | None,
+) -> tuple[float, int]:
+    """The searched end of a crossing as (cost, interval ``stop`` of the
+    arrival); no argument is checked.
+
+    ``remaining`` is the distance still to cover from the start of
+    interval ``start``, an instant ``lead + points[start]`` after the
+    departure. The arrival search runs over intervals ``start`` through
+    the last, or through ``start + window`` if that comes first and
+    ``window`` is not None, and must find the arrival there. The caller maps
+    the arrival instant to its interval with ``stop`` as the hint.
+    """
+    last = len(points) - 2
+    hi = last if window is None else min(start + window, last)
+    stop, consumed = _search_arrival(row, start, remaining, hi, counter)
+    at = points[stop]
+    return (lead + at) + within(values, points, stop, at, remaining - consumed), stop
 
 
 def _search_arrival(

@@ -26,6 +26,7 @@ from tdroute import (
     shortest_paths,
     traverse_arc,
 )
+from tdroute import routing
 from tdroute.landmarks import LANDMARKS, build_landmarks, potential, targeting
 from support import enumerate_arrivals, random_graph, random_profile
 
@@ -321,6 +322,14 @@ class TestRouteResultContract:
             assert result.stats.settled == reachable
 
 
+def neighbours(side):
+    """Each pair of neighbouring nodes of a side x side grid, once."""
+    for a in range(side * side):
+        for b in (a + 1, a + side):
+            if b < side * side and (b == a + side or b % side):
+                yield a, b
+
+
 def grid(rng, kind, policy, side, lengths):
     """A side x side grid with an arc each way between neighbours; each arc
     draws its length from ``lengths`` and its speeds at random, half of
@@ -328,15 +337,28 @@ def grid(rng, kind, policy, side, lengths):
     division = TimeDivision((0.0, 15.0, 40.0, 60.0))
     count = division.intervals + (kind == LINEAR)
     arcs = []
-    for a in range(side * side):
-        for b in (a + 1, a + side):
-            if b < side * side and (b == a + side or b % side):
-                length = rng.choice(lengths)()
-                for u, v in ((a, b), (b, a)):
-                    profile = random_profile(rng, kind, division.intervals, policy)
-                    if rng.random() < 0.5:
-                        profile = SpeedProfile(kind, (max(profile.values),) * count)
-                    arcs.append(Arc(u, v, length, profile))
+    for a, b in neighbours(side):
+        length = rng.choice(lengths)()
+        for u, v in ((a, b), (b, a)):
+            profile = random_profile(rng, kind, division.intervals, policy)
+            if rng.random() < 0.5:
+                profile = SpeedProfile(kind, (max(profile.values),) * count)
+            arcs.append(Arc(u, v, length, profile))
+    return TdGraph(side * side, division, policy, kind, tuple(arcs))
+
+
+def fine_grid(rng, kind, policy, side=5, intervals=1440):
+    """A side x side grid in the paper's regime: 1-minute intervals over a
+    day and 10-40 km arcs at 10-30 m/s, so that every crossing spans
+    intervals, and one departing in the first hours arrives within the
+    horizon."""
+    division = TimeDivision(tuple(60.0 * i for i in range(intervals + 1)))
+    arcs = []
+    for a, b in neighbours(side):
+        length = rng.uniform(1e4, 4e4)
+        for u, v in ((a, b), (b, a)):
+            profile = random_profile(rng, kind, intervals, policy, 10.0, 30.0)
+            arcs.append(Arc(u, v, length, profile))
     return TdGraph(side * side, division, policy, kind, tuple(arcs))
 
 
@@ -502,6 +524,119 @@ class TestLandmarks:
             fast += shortest_path_to(graph, table, source, target, departure, "fatt").stats.settled
             slow += shortest_path_to(graph, plain, source, target, departure, "fatt").stats.settled
         assert fast < 0.6 * slow
+
+
+def assert_tree_crossings(graph, table, strategy, result):
+    """Each reached node's arrival and arrival interval are those of the
+    kernel's crossing from its predecessor, departing at the predecessor's
+    arrival with its interval as the hint."""
+    for node, before in enumerate(result.predecessor):
+        if before is None:
+            continue
+        (arc_index,) = [i for i in graph.out_arcs(before) if graph.arcs[i].dst == node]
+        crossing = traverse_arc(graph, table, arc_index, result.arrival[before],
+                                strategy, result.arrival_interval[before])
+        assert result.arrival[before] + crossing.cost == result.arrival[node]
+        assert crossing.arrival_interval == result.arrival_interval[node]
+
+
+class TestSearchedExit:
+    """A searched crossing whose arrival lies within the horizon resolves
+    in the engine's loop through the kernel's search core."""
+
+    def test_every_crossing_reproduces_the_kernel_bit_for_bit(self):
+        rng = random.Random(91)
+        for kind in (CONSTANT, LINEAR):
+            for policy in (STATIC, PERIODIC):
+                graph = fine_grid(rng, kind, policy)
+                table = build_ael(graph)
+                horizon = graph.division.horizon
+                for strategy in strategies_for(kind)[1:]:
+                    # Early departures search within the horizon; late ones
+                    # also arrive past it and depart past it.
+                    for departure in (rng.uniform(0.0, 3600.0),
+                                      horizon - rng.uniform(0.0, 7200.0)):
+                        source = rng.randrange(graph.nodes)
+                        result = shortest_paths(graph, table, source, departure,
+                                                strategy)
+                        assert result.stats.settled == graph.nodes
+                        assert_tree_crossings(graph, table, strategy, result)
+
+    def test_an_arrival_on_a_breakpoint_or_the_horizon_is_located(self, monkeypatch):
+        # At 5 m/s through 10 s intervals, arc 0 covers its 100 m by the end
+        # of interval 1 and arrives on the breakpoint 20.0, which interval 2
+        # holds; arc 1 covers 150 m and arrives on the horizon 30.0. The
+        # search stops in the interval that ends there, so the loop's
+        # bracket check fails and locate_interval places the arrival.
+        # Arcs 2 and 3 then arrive past the horizon or depart on it.
+        division = TimeDivision((0.0, 10.0, 20.0, 30.0))
+        asked = []
+
+        def spy(division, t, policy, hint=None):
+            asked.append((t, hint))
+            return locate_interval(division, t, policy, hint)
+
+        monkeypatch.setattr(routing, "locate_interval", spy)
+        for kind in (CONSTANT, LINEAR):
+            profile = SpeedProfile(kind, (5.0,) * (3 + (kind == LINEAR)))
+            for policy in (STATIC, PERIODIC):
+                graph = TdGraph(4, division, policy, kind, (
+                    Arc(0, 1, 100.0, profile), Arc(0, 2, 150.0, profile),
+                    Arc(1, 3, 200.0, profile), Arc(2, 3, 10.0, profile),
+                ))
+                table = build_ael(graph)
+                for strategy in strategies_for(kind)[1:]:
+                    asked.clear()
+                    result = shortest_paths(graph, table, 0, 0.0, strategy)
+                    assert result.arrival == [0.0, 20.0, 30.0, 32.0]
+                    assert asked == [(0.0, None), (20.0, 1), (30.0, 2)]
+                    assert result.arrival_interval == [
+                        locate_interval(division, a, policy)
+                        for a in result.arrival
+                    ]
+                    assert_tree_crossings(graph, table, strategy, result)
+
+    def test_a_crossing_rounded_onto_its_interval_end_is_not_searched(self):
+        # 7 m/s * (10 - departure) covers the arc's length, yet departure +
+        # length / 7 rounds up to the breakpoint 10.0: the kernel's
+        # same-interval exit, which the search core would put an ulp short.
+        division = TimeDivision((0.0, 10.0, 20.0))
+        departure, length = 1.917441039952995, 56.577912720329024
+        profile = SpeedProfile(CONSTANT, (7.0, 7.0))
+        assert 7.0 * (10.0 - departure) >= length
+        for policy in (STATIC, PERIODIC):
+            graph = TdGraph(2, division, policy, CONSTANT,
+                            (Arc(0, 1, length, profile),))
+            table = build_ael(graph)
+            for strategy in ("fatt", "b-fatt"):
+                result = shortest_paths(graph, table, 0, departure, strategy)
+                assert result.arrival[1] == 10.0
+                assert result.arrival_interval[1] == 1
+                assert_tree_crossings(graph, table, strategy, result)
+
+    def test_searched_crossings_make_no_kernel_calls(self, monkeypatch):
+        graph = fine_grid(random.Random(92), CONSTANT, STATIC)
+        table = build_ael(graph)
+        calls = []
+        kernel = routing._cross
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(routing, "_cross", counted)
+        stats = [
+            shortest_paths(graph, table, source, departure, "fatt").stats
+            for source, departure in ((0, 0.0), (12, 1800.0), (24, 3600.0))
+        ]
+        assert calls == []
+        # The counters each of these crossings gave as a kernel call.
+        assert [(s.settled, s.traversal_calls, s.probes, s.steps)
+                for s in stats] == [(25, 40, 442, 0), (25, 40, 429, 0),
+                                    (25, 40, 423, 0)]
+        # The engine calls the wrapper: departing past the horizon, it counts.
+        shortest_paths(graph, table, 0, graph.division.horizon, "fatt")
+        assert len(calls) == 40
 
 
 ENGINE_DIGEST = "f032436f604252957006b56866e2430961be5f01d7d0d11cae25c48413059ccf"
