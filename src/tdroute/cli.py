@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .bench import ChecksumMismatch, SweepConfig, run_sweep, to_csv
 from .io_gen import GeneratorConfig, GraphFormatError, generate, load, save, validate_file
+from .landmarks import build_landmarks
 from .model import KINDS, POLICIES, TdGraph
 from .routing import (
     _PLANS,
@@ -116,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_route(args: argparse.Namespace) -> int:
     graph = load(args.graph)
-    strategy, table = _plan(graph, args.strategy, searches=True)
+    strategy, table = _plan(graph, args.strategy, searches=True,
+                            target=args.target is not None)
     if args.target is None:
         result = shortest_paths(
             graph, table, args.source, args.departure, strategy
@@ -218,14 +220,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _plan(
-    graph: TdGraph, strategy: str | None, searches: bool
+    graph: TdGraph, strategy: str | None, searches: bool, target: bool = False
 ) -> tuple[str, AelTable | None]:
     """The strategy (default: the graph kind's unwindowed search, or its scan
-    when not ``searches``) and its prefix table, built only for a search."""
+    when not ``searches``) and its table: the full table for a search, and
+    for a scan toward a ``target`` only the landmark lists that A* reads."""
     if strategy is None:
         default = (graph.kind, searches, False)
         strategy = next(s for s, plan in _PLANS.items() if plan == default)
-    return strategy, build_ael(graph) if _PLANS[strategy][1] else None
+    if _PLANS[strategy][1]:
+        return strategy, build_ael(graph)
+    return strategy, AelTable([], landmarks=build_landmarks(graph)) if target else None
 
 
 def _pretty(x: float) -> str:

@@ -22,10 +22,10 @@ horizon, in interval k:
 * Searched, as every crossing is in the paper's regime of long arcs and
   short intervals. When the test above fails, a searching strategy whose
   prefix row says the arrival lies within the horizon calls the kernel's
-  search core ``traversal._searched`` directly, as the kernel does. The
-  arrival keeps the core's interval ``stop`` when ``points[stop] <=
-  label + cost < points[stop+1]``; otherwise ``locate_interval`` places
-  it, as in the kernel.
+  search core ``traversal._searched``, which bisects the row and counts
+  into the query's stats. The arrival keeps the core's interval ``stop``
+  when ``points[stop] <= label + cost < points[stop+1]``; otherwise
+  ``locate_interval`` places it, as in the kernel.
 
 Every other crossing is one kernel call: a scan's, one that ends in its
 departure interval on or past ``points[k+1]``, one that arrives past the
@@ -101,6 +101,7 @@ from .traversal import (
     OpCounter,
     TraversalResult,
     _check_departure,
+    _check_row_length,
     _cross,
     _searched,
 )
@@ -223,6 +224,7 @@ def traverse_arc(
     _check_departure(departure)
     row = None if rows is None else rows[arc_index]
     window = None if windows is None else windows[arc_index]
+    counter = OpCounter() if counter is None else counter
     return TraversalResult(*_cross(graph.arcs[arc_index], row, graph.division,
                                    graph.policy, departure, hint, counter, window))
 
@@ -233,8 +235,8 @@ def _check_strategy(
     """The kernel's per-arc prefix rows (None for a scan) and search windows
     (None unless windowed) under ``strategy``, and the table's landmark
     lists (empty without a table), once the strategy suits the graph and
-    the table has one row and window per arc and one landmark distance per
-    node of the graph."""
+    the table has one row and window per arc, a first row of one entry per
+    interval and one landmark distance per node of the graph."""
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -260,6 +262,8 @@ def _check_strategy(
             f"prefix table has {len(ael.rows)} rows, graph has "
             f"{graph.arc_count} arcs"
         )
+    if ael.rows:  # O(1): the other rows are trusted to match the first
+        _check_row_length(ael.rows[0], graph.division.intervals)
     if not windowed:
         return ael.rows, None, landmarks
     if len(ael.window_bounds) != graph.arc_count:

@@ -30,21 +30,21 @@ form; under "periodic" whole repeats of the pattern are skipped in O(1)
 using the total distance coverable per period, then one in-period search
 (or walk) runs. Both keep the per-call complexity bounds intact.
 
-The public procedures validate their arguments once, call the unchecked
-kernel and wrap its ``(cost, arrival interval)`` pair in a
+The five public procedures share one door, ``_checked_cross``: it checks
+the policy, the profile, the departure and the prefix row's length, runs
+the unchecked kernel and wraps its ``(cost, arrival interval)`` pair in a
 :class:`TraversalResult`. The routing engine, which validates once per
-query, calls the kernel directly and keeps the pair, allocating nothing
-per relaxation. For a departure inside the horizon it skips the kernel's
-prelude: it resolves a crossing that ends inside its departure interval
-itself, with the kind's ``cover``/``within``, and hands one whose
-searched arrival lies within the horizon to the kernel's search core,
-``_searched``, which holds the only arrival search and its cost.
+query, calls the kernel directly and keeps the pair. For a departure
+inside the horizon it resolves a crossing that ends in its departure
+interval itself, and hands one whose searched arrival lies within the
+horizon to ``_searched``, the one function that bisects a prefix row.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
 prefix table: the first-candidate check plus every bisection step).
 Constant-time guards such as the horizon-boundary test and period
-skipping are not probes.
+skipping are not probes. The kernel always counts: the door, or
+``routing.traverse_arc``, supplies a counter when the caller passes none.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ class AelTable:
     holds one ``(away, back)`` pair of static distance lists per landmark,
     from it to every node and from every node to it, which bound
     point-to-point queries from below (see :mod:`tdroute.landmarks`).
+    The engine checks the row count but the length of only the first row,
+    so a table is meant to come from ``build_ael(graph)``.
     """
 
     rows: list[list[float]]
@@ -164,9 +166,7 @@ def att(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Traversal time by sequential interval scan; O(K) worst case."""
-    _check(arc, division.intervals, CONSTANT, policy, tau)
-    crossing = _cross(arc, None, division, policy, tau, None, counter, None)
-    return TraversalResult(*crossing)
+    return _checked_cross(arc, None, division, CONSTANT, policy, tau, counter)
 
 
 def fatt(
@@ -180,9 +180,8 @@ def fatt(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Traversal time via binary search over prefix sums; O(log K)."""
-    _check(arc, division.intervals, CONSTANT, policy, tau)
-    crossing = _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
-    return TraversalResult(*crossing)
+    return _checked_cross(arc, _row(ael, index), division, CONSTANT, policy, tau,
+                          counter, hint)
 
 
 def bounded_fatt(
@@ -202,7 +201,6 @@ def bounded_fatt(
     which holds exactly when ``q >= compute_q(arc, ...)``; the cached
     per-arc bound makes that an O(1) check.
     """
-    _check(arc, division.intervals, CONSTANT, policy, tau)
     row = _row(ael, index)
     if index >= len(ael.window_bounds):
         raise ValueError(f"prefix table has no window bound at index {index}")
@@ -213,8 +211,7 @@ def bounded_fatt(
             f"window bound {q} too small: some interval covers less "
             f"than length/{q}"
         )
-    crossing = _cross(arc, row, division, policy, tau, hint, counter, q)
-    return TraversalResult(*crossing)
+    return _checked_cross(arc, row, division, CONSTANT, policy, tau, counter, hint, q)
 
 
 def att_linear(
@@ -229,9 +226,7 @@ def att_linear(
     Inside the final interval the remaining distance is converted to time
     by solving the quadratic distance integral in closed form.
     """
-    _check(arc, division.intervals, LINEAR, policy, tau)
-    crossing = _cross(arc, None, division, policy, tau, None, counter, None)
-    return TraversalResult(*crossing)
+    return _checked_cross(arc, None, division, LINEAR, policy, tau, counter)
 
 
 def l_fatt(
@@ -245,9 +240,8 @@ def l_fatt(
     counter: OpCounter | None = None,
 ) -> TraversalResult:
     """Binary-search traversal for linear-speed profiles; O(log K)."""
-    _check(arc, division.intervals, LINEAR, policy, tau)
-    crossing = _cross(arc, _row(ael, index), division, policy, tau, hint, counter, None)
-    return TraversalResult(*crossing)
+    return _checked_cross(arc, _row(ael, index), division, LINEAR, policy, tau,
+                          counter, hint)
 
 
 def interp_piecewise_linear(
@@ -272,11 +266,22 @@ def interp_piecewise_linear(
     return (f1 - f0) / (t1 - t0) * (tau - t0) + f0
 
 
-def _check(arc: Arc, intervals: int, kind: str, policy: str, tau: float) -> None:
+def _checked_cross(arc: Arc, row: list[float] | None, division: TimeDivision,
+                   kind: str, policy: str, tau: float, counter: OpCounter | None,
+                   hint: int | None = None,
+                   window: int | None = None) -> TraversalResult:
+    """The one door of the single-arc procedures: checks the policy, the
+    ``kind`` profile, the departure and the prefix row's length, then runs
+    :func:`_cross`, counting into a fresh counter when ``counter`` is None."""
     if policy not in POLICIES:
         raise ValueError(f"unknown horizon policy {policy!r}")
-    _check_profile(arc.profile, kind, intervals, policy)
+    _check_profile(arc.profile, kind, division.intervals, policy)
     _check_departure(tau)
+    if row is not None:
+        _check_row_length(row, division.intervals)
+    counter = OpCounter() if counter is None else counter
+    crossing = _cross(arc, row, division, policy, tau, hint, counter, window)
+    return TraversalResult(*crossing)
 
 
 def _row(ael: AelTable, index: int) -> list[float]:
@@ -293,6 +298,13 @@ def _check_departure(tau: float) -> None:
         )
 
 
+def _check_row_length(row: list[float], intervals: int) -> None:
+    if len(row) != intervals:
+        raise ValueError(
+            f"prefix row has {len(row)} entries, division has {intervals} intervals"
+        )
+
+
 def _cross(
     arc: Arc,
     row: list[float] | None,
@@ -300,7 +312,7 @@ def _cross(
     policy: str,
     tau: float,
     hint: int | None,
-    counter: OpCounter | None,
+    counter: OpCounter,
     window: int | None,
 ) -> tuple[float, int]:
     """The crossing of ``arc`` departing at ``tau`` as (cost, arrival
@@ -341,8 +353,7 @@ def _cross(
     # lead + points[stop] after tau with rest still to cover.
     if row is None:
         stop, rest = walk(values, points, k + 1, last + 1, remaining)
-        if counter is not None:
-            counter.steps += min(stop, last) - k
+        counter.steps += min(stop, last) - k
     else:
         stop, rest = last + 1, remaining - (row[last] - row[k])
     lead = -t
@@ -358,8 +369,7 @@ def _cross(
                                    window, counter)
             return cost, locate_interval(division, tau + cost, policy, stop)
         stop, rest = walk(values, points, 0, last, rest)
-        if counter is not None:  # the period total visits every interval
-            counter.steps += last + 1 + min(stop + 1, last)
+        counter.steps += last + 1 + min(stop + 1, last)  # K for the total, then walk
     if stop > last:
         # Static tail: the rest at the last measured speed.
         cost, stop = (horizon - t) + rest / values[-1], last
@@ -377,63 +387,46 @@ def _searched(
     lead: float,
     remaining: float,
     window: int | None,
-    counter: OpCounter | None,
+    counter: OpCounter,
 ) -> tuple[float, int]:
     """The searched end of a crossing as (cost, interval ``stop`` of the
-    arrival); no argument is checked.
+    arrival); only the search window is checked.
 
     ``remaining`` is the distance still to cover from the start of
     interval ``start``, an instant ``lead + points[start]`` after the
-    departure. The arrival search runs over intervals ``start`` through
+    departure. The search bisects ``row`` over intervals ``start`` through
     the last, or through ``start + window`` if that comes first and
-    ``window`` is not None, and must find the arrival there. The caller maps
-    the arrival instant to its interval with ``stop`` as the hint.
+    ``window`` is not None, for the one that holds the end of
+    ``remaining``. It checks interval ``start`` first, so a crossing that
+    ends there costs one probe. The caller maps the arrival instant to its
+    interval with ``stop`` as the hint.
     """
     last = len(points) - 2
     hi = last if window is None else min(start + window, last)
-    stop, consumed = _search_arrival(row, start, remaining, hi, counter)
-    at = points[stop]
-    return (lead + at) + within(values, points, stop, at, remaining - consumed), stop
-
-
-def _search_arrival(
-    row: list[float],
-    start: int,
-    a: float,
-    hi: int,
-    counter: OpCounter | None,
-) -> tuple[int, float]:
-    """Find the interval j in [start, hi] whose cumulative span holds ``a``.
-
-    ``a`` is the residual distance with the start of interval ``start`` as
-    the departure instant. Returns (j, distance consumed before j), i.e.
-    the interval satisfying row[j-1]-base <= a <= row[j]-base. The first
-    candidate is checked directly before bisecting, so traversals that
-    finish in the very next interval cost a single probe.
-    """
     base = row[start - 1] if start > 0 else 0.0
     # Checked once: with row increasing, this makes the bisection terminate.
-    if not (start <= hi and a <= row[hi] - base):
-        raise ValueError(f"arrival search: {a!r} m exceeds intervals {start}..{hi}")
+    if not (start <= hi and remaining <= row[hi] - base):
+        raise ValueError(
+            f"arrival search: {remaining!r} m exceeds intervals {start}..{hi}"
+        )
     probes = 1
-    if a <= row[start] - base:
-        found = start, 0.0
-    else:
+    stop = start
+    if remaining > row[start] - base:
         lo = start + 1
         while True:
             probes += 1
-            mid = (lo + hi) >> 1
-            before = row[mid - 1] - base
-            if a < before:
-                hi = mid - 1
-            elif a > row[mid] - base:
-                lo = mid + 1
+            stop = (lo + hi) >> 1
+            before = row[stop - 1] - base
+            if remaining < before:
+                hi = stop - 1
+            elif remaining > row[stop] - base:
+                lo = stop + 1
             else:
-                found = mid, before
+                remaining -= before
                 break
-    if counter is not None:
-        counter.probes += probes
-    return found
+    counter.probes += probes
+    at = points[stop]
+    return (lead + at) + within(values, points, stop, at, remaining), stop
 
 
 def _prefix_row(arc: Arc, division: TimeDivision) -> list[float]:

@@ -4,9 +4,20 @@ import sys
 
 import pytest
 
-from tdroute import GeneratorConfig, dumps, generate, sample_graph, save
+from tdroute import (
+    CONSTANT,
+    LINEAR,
+    GeneratorConfig,
+    dumps,
+    generate,
+    sample_graph,
+    save,
+    shortest_path_to,
+    shortest_paths,
+)
 from tdroute.bench import ChecksumMismatch
 from tdroute.cli import main
+from tdroute.landmarks import LANDMARKS
 from tdroute.model import MAX_NODES
 
 DEMO_FILE = "demo.tdg"
@@ -154,6 +165,11 @@ class TestRoute:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[2] == "1 16385 0"
+        code, out, err = run_cli(
+            capsys, "route", str(path), "0", "--target", "1", "--strategy", "att"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["path: 0 1", "arrival: 16385"]
         for strategy in ("fatt", "b-fatt"):
             code, out, err = run_cli(
                 capsys, "route", str(path), "0", "--strategy", strategy
@@ -257,6 +273,58 @@ class TestRoute:
                 assert code == 0
                 reports.append(out)
             assert reports[0] == reports[1]
+
+    def test_a_scan_toward_a_target_runs_over_landmarks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        handed = []
+
+        def spy(graph, table, *args):
+            handed.append(table)
+            return shortest_path_to(graph, table, *args)
+
+        monkeypatch.setattr("tdroute.cli.shortest_path_to", spy)
+        for seed in range(20):
+            config = GeneratorConfig(
+                nodes=12, avg_degree=2.0, intervals=5, horizon=120.0,
+                speed_range=(2.0, 25.0), length_range=(20.0, 400.0), seed=seed,
+                kind=LINEAR if seed % 2 else CONSTANT,
+            )
+            graph = generate(config)
+            path = tmp_path / f"g{seed}.tdg"
+            save(graph, path)
+            strategy = "att-linear" if seed % 2 else "att"
+            plain = shortest_path_to(graph, None, 0, 11, 13.0, strategy)
+            for csv in ((), ("--csv",)):
+                code, out, _ = run_cli(
+                    capsys, "route", str(path), "0", "--target", "11",
+                    "--departure", "13", "--strategy", strategy, *csv,
+                )
+                assert code == 0
+                table = handed.pop()
+                assert table.rows == [] and len(table.landmarks) == LANDMARKS
+                if csv:
+                    _, arrival, nodes = out.splitlines()[1].split(",")
+                    assert float(arrival) == plain.arrival
+                    assert nodes == " ".join(map(str, plain.path or ()))
+                elif plain.path is None:
+                    assert out == "target 11 unreachable\n"
+                else:
+                    assert out.splitlines() == [
+                        "path: " + " ".join(map(str, plain.path)),
+                        f"arrival: {plain.arrival:.9g}",
+                    ]
+
+    def test_a_one_to_all_scan_builds_no_table(self, demo_path, capsys, monkeypatch):
+        handed = []
+
+        def spy(graph, table, *args):
+            handed.append(table)
+            return shortest_paths(graph, table, *args)
+
+        monkeypatch.setattr("tdroute.cli.shortest_paths", spy)
+        code, _, _ = run_cli(capsys, "route", demo_path, "0", "--strategy", "att")
+        assert code == 0 and handed == [None]
 
 
 class TestAttCommand:

@@ -158,6 +158,23 @@ class TestValidation:
             with pytest.raises(ValueError, match=message):
                 traverse_arc(graph, bad, 0, 6.0, strategy)
 
+    def test_a_prefix_row_of_the_wrong_length_raises(self):
+        # sample_graph() has four intervals; every row one entry short or long.
+        graph = sample_graph()
+        table = build_ael(graph)
+        for rows in ([row[:-1] for row in table.rows],
+                     [row + [row[-1] + 100.0] for row in table.rows]):
+            bad = AelTable(rows, table.window_bounds, table.landmarks)
+            message = (f"prefix row has {len(rows[0])} entries, "
+                       "division has 4 intervals")
+            for strategy in ("fatt", "b-fatt"):
+                with pytest.raises(ValueError, match=message):
+                    shortest_paths(graph, bad, 0, 6.0, strategy)
+                with pytest.raises(ValueError, match=message):
+                    shortest_path_to(graph, bad, 0, 1, 6.0, strategy)
+                with pytest.raises(ValueError, match=message):
+                    traverse_arc(graph, bad, 0, 6.0, strategy)
+
 
 class TestOptimality:
     def test_matches_exhaustive_enumeration(self):

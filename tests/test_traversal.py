@@ -37,8 +37,9 @@ from tdroute.model import speed_line
 from tdroute.traversal import (
     _linear_span,
     _prefix_row,
-    _search_arrival,
+    _searched,
     _travel_time,
+    _within_constant,
 )
 from support import (
     integrate_motion,
@@ -60,6 +61,17 @@ def make_arc(length, kind, speeds):
 def constant_setup(rng, policy):
     graph = single_arc_graph(rng, CONSTANT, policy)
     return graph.arcs[0], graph.division, build_ael(graph)
+
+
+def search_arrival(row, start, a, hi, counter):
+    """``_searched``'s arrival search over intervals ``start``..``hi`` as
+    (interval j, distance consumed before j). The intervals last one second
+    each and the speed is 1 m/s, so the searched cost is j plus the
+    residual distance."""
+    points = tuple(map(float, range(len(row) + 1)))
+    cost, stop = _searched(_within_constant, (1.0,) * len(row), row, points,
+                           start, 0.0, a, hi - start, counter)
+    return stop, a - (cost - stop)
 
 
 class TestEffectiveLength:
@@ -277,6 +289,46 @@ class TestArgumentChecks:
                     call(index)
         with pytest.raises(ValueError, match="no window bound at index 0$"):
             bounded_fatt(c_arc, AelTable(c_table.rows), 0, division, policy, 1.0, 99)
+
+    def test_a_prefix_row_of_the_wrong_length_raises(self):
+        # DEMO has four intervals; a row one entry short or long is rejected.
+        rows = DEMO_AEL.rows[0]
+        linear = make_arc(200.0, LINEAR, (10.0, 5.0, 30.0, 10.0, 10.0))
+        for row in (rows[:-1], rows + [rows[-1] + 100.0]):
+            table = AelTable([row], DEMO_AEL.window_bounds[:1])
+            calls = (
+                lambda: fatt(DEMO_ARC, table, 0, DEMO.division, STATIC, 6.0),
+                lambda: bounded_fatt(DEMO_ARC, table, 0, DEMO.division, STATIC, 6.0, 9),
+                lambda: l_fatt(linear, table, 0, DEMO.division, STATIC, 6.0),
+            )
+            message = f"prefix row has {len(row)} entries, division has 4 intervals"
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_a_missing_counter_changes_no_result(self):
+        rng = random.Random(63)
+        for _ in range(300):
+            kind = rng.choice((CONSTANT, LINEAR))
+            policy = rng.choice((STATIC, PERIODIC))
+            graph = single_arc_graph(rng, kind, policy)
+            arc, division = graph.arcs[0], graph.division
+            table = build_ael(graph)
+            tau = rng.uniform(0.0, 3.0 * division.horizon)
+            if kind == CONSTANT:
+                calls = (
+                    lambda c: att(arc, division, policy, tau, c),
+                    lambda c: fatt(arc, table, 0, division, policy, tau, None, c),
+                    lambda c: bounded_fatt(arc, table, 0, division, policy, tau,
+                                           table.window_bounds[0], None, c),
+                )
+            else:
+                calls = (
+                    lambda c: att_linear(arc, division, policy, tau, c),
+                    lambda c: l_fatt(arc, table, 0, division, policy, tau, None, c),
+                )
+            for call in calls:
+                assert call(None) == call(OpCounter())
 
 
 class TestFatt:
@@ -544,6 +596,7 @@ class TestQuadraticRoot:
 class TestSearchArrival:
     def test_residual_stays_within_interval(self):
         rng = random.Random(61)
+        counter = OpCounter()
         for _ in range(2000):
             spans = [rng.uniform(0.5, 50.0) for _ in range(rng.randint(2, 12))]
             row = []
@@ -554,26 +607,31 @@ class TestSearchArrival:
             start = rng.randrange(len(row))
             base = row[start - 1] if start else 0.0
             a = rng.uniform(0.0, row[-1] - base)
-            stop, consumed = _search_arrival(row, start, a, len(row) - 1, None)
+            stop, consumed = search_arrival(row, start, a, len(row) - 1, counter)
             assert start <= stop <= len(row) - 1
             residual = a - consumed
             assert 0.0 <= residual
             assert residual <= row[stop] - (row[stop - 1] if stop else 0.0) + 1e-9
+        assert counter == OpCounter(probes=4208)
 
     def test_boundary_tie_lands_with_zero_residual(self):
         row = [100.0, 130.0, 250.0, 350.0]
-        stop, consumed = _search_arrival(row, 1, 30.0, 3, None)
+        counter = OpCounter()
+        stop, consumed = search_arrival(row, 1, 30.0, 3, counter)
         # 30 == row[1]-row[0]: "found" wins over "too large"
         assert (stop, consumed) in ((2, 30.0), (1, 0.0))
         if stop == 2:
             assert 30.0 - consumed == 0.0
+        assert counter == OpCounter(probes=1)
 
     def test_residual_outside_the_window_raises(self):
         row = [100.0, 130.0, 250.0, 350.0]
         # Intervals 1..2 cover 150 m; an empty window covers nothing.
         for start, a, hi in ((1, 200.0, 2), (3, 10.0, 2)):
+            counter = OpCounter()
             with pytest.raises(ValueError, match="arrival search"):
-                _search_arrival(row, start, a, hi, None)
+                search_arrival(row, start, a, hi, counter)
+            assert counter == OpCounter()
 
     def test_sequential_scan_settles_where_predicate_holds(self):
         rng = random.Random(62)
