@@ -7,8 +7,8 @@ departure instants through every requested strategy. Every query goes
 through :func:`routing.traverse_arc`. Operation counters are the primary
 evidence (deterministic, machine independent): sequential strategies report
 interval steps, binary-search strategies report probes. Wall time is
-secondary; ``wall_ns`` includes strategy and table checks that the route
-engine makes once per query, not once per crossing.
+secondary; ``wall_ns`` includes strategy, profile and table checks that the
+route engine makes once per query, not once per crossing.
 
 Every strategy in a cell must produce the same costs (relative tolerance
 1e-9) and identical arrival intervals; a mismatch raises

@@ -23,7 +23,7 @@ from .routing import (
     shortest_paths,
     traverse_arc,
 )
-from .traversal import AelTable, build_ael
+from .traversal import AelTable, _prefix_table
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,22 +123,13 @@ def cmd_route(args: argparse.Namespace) -> int:
         result = shortest_paths(
             graph, table, args.source, args.departure, strategy
         )
-        if args.csv:
-            print("node,arrival,predecessor")
-            for node in range(graph.nodes):
-                pred = result.predecessor[node]
-                print(
-                    f"{node},{_raw(result.arrival[node])},"
-                    f"{'' if pred is None else pred}"
-                )
-        else:
-            print("node arrival predecessor")
-            for node in range(graph.nodes):
-                pred = result.predecessor[node]
-                print(
-                    f"{node} {_pretty(result.arrival[node])} "
-                    f"{'-' if pred is None else pred}"
-                )
+        # --csv prints io_gen's number format, in which inf is "inf".
+        sep, number, missing = ((",", "{:.17g}".format, "") if args.csv
+                                else (" ", _pretty, "-"))
+        print(sep.join(("node", "arrival", "predecessor")))
+        for node, pred in enumerate(result.predecessor):
+            pred = missing if pred is None else pred
+            print(f"{node}{sep}{number(result.arrival[node])}{sep}{pred}")
         return 0
     outcome = shortest_path_to(
         graph, table, args.source, args.target, args.departure, strategy
@@ -146,7 +137,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     if args.csv:
         print("target,arrival,path")
         path = "" if outcome.path is None else " ".join(map(str, outcome.path))
-        print(f"{args.target},{_raw(outcome.arrival)},{path}")
+        print(f"{args.target},{outcome.arrival:.17g},{path}")
     elif outcome.path is None:
         print(f"target {args.target} unreachable")
     else:
@@ -223,20 +214,22 @@ def _plan(
     graph: TdGraph, strategy: str | None, searches: bool, target: bool = False
 ) -> tuple[str, AelTable | None]:
     """The strategy (default: the graph kind's unwindowed search, or its scan
-    when not ``searches``) and its table: the full table for a search, and
-    for a scan toward a ``target`` only the landmark lists that A* reads."""
+    when not ``searches``) and its table: the prefix rows and window bounds
+    for a search, plus the landmark lists that A* reads toward a ``target``.
+    A one-to-all scan gets no table."""
     if strategy is None:
         default = (graph.kind, searches, False)
         strategy = next(s for s, plan in _PLANS.items() if plan == default)
     if _PLANS[strategy][1]:
-        return strategy, build_ael(graph)
-    return strategy, AelTable([], landmarks=build_landmarks(graph)) if target else None
+        table = _prefix_table(graph)
+    elif target:
+        table = AelTable([])
+    else:
+        return strategy, None
+    if target:
+        table.landmarks = build_landmarks(graph)
+    return strategy, table
 
 
 def _pretty(x: float) -> str:
     return "unreachable" if math.isinf(x) else f"{x:.9g}"
-
-
-def _raw(x: float) -> str:
-    return "inf" if math.isinf(x) else f"{x:.17g}"
-

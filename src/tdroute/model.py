@@ -180,8 +180,7 @@ class TdGraph:
 
     def out_arcs(self, node: int) -> tuple[int, ...]:
         """Indices of the arcs leaving ``node``."""
-        if not 0 <= node < self.nodes:
-            raise ValueError("node id out of range")
+        _check_node(node, self.nodes)
         return self._adjacency[node]
 
 
@@ -191,6 +190,12 @@ def _check_node_count(nodes: int) -> None:
         raise ValueError("node count must be at least 1")
     if nodes > MAX_NODES:
         raise ValueError(f"node count {nodes} exceeds the cap of {MAX_NODES}")
+
+
+def _check_node(node: int, nodes: int) -> None:
+    """Reject a node id outside a graph of ``nodes`` nodes, naming both."""
+    if not 0 <= node < nodes:
+        raise ValueError(f"node id out of range: {node} (graph has {nodes} nodes)")
 
 
 def locate_interval(

@@ -94,7 +94,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .landmarks import potential, targeting
-from .model import CONSTANT, LINEAR, TdGraph, locate_interval
+from .model import CONSTANT, LINEAR, TdGraph, _check_node, locate_interval
 from .traversal import (
     _KINDS,
     AelTable,
@@ -102,6 +102,7 @@ from .traversal import (
     TraversalResult,
     _check_departure,
     _check_row_length,
+    _checked_cross,
     _cross,
     _searched,
 )
@@ -155,8 +156,7 @@ class RouteResult:
 
     def path_to(self, target: int) -> list[int] | None:
         """Node sequence from the source to ``target``, or None."""
-        if not 0 <= target < len(self.arrival):
-            raise ValueError("node id out of range")
+        _check_node(target, len(self.arrival))
         if self.arrival[target] == UNREACHABLE:
             return None
         path = [target]
@@ -198,8 +198,7 @@ def shortest_path_to(
 ) -> PathResult:
     """Point-to-point query; stops as soon as ``target`` settles. Runs A*
     over the table's landmark lists when it carries them."""
-    if not 0 <= target < graph.nodes:
-        raise ValueError("node id out of range")
+    _check_node(target, graph.nodes)
     result = _run(graph, ael, source, departure, strategy, stop_at=target)
     return PathResult(
         path=result.path_to(target),
@@ -217,16 +216,15 @@ def traverse_arc(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """One arc traversal through the engine's crossing kernel (debug-level query)."""
+    """One arc traversal under ``strategy`` (debug-level query), checked and
+    run by ``traversal._checked_cross`` as the single-arc procedures are."""
     rows, windows, _ = _check_strategy(graph, ael, strategy)
     if not 0 <= arc_index < graph.arc_count:
         raise ValueError(f"arc index {arc_index} out of range")
-    _check_departure(departure)
     row = None if rows is None else rows[arc_index]
     window = None if windows is None else windows[arc_index]
-    counter = OpCounter() if counter is None else counter
-    return TraversalResult(*_cross(graph.arcs[arc_index], row, graph.division,
-                                   graph.policy, departure, hint, counter, window))
+    return _checked_cross(graph.arcs[arc_index], row, graph.division, graph.kind,
+                          graph.policy, departure, counter, hint, window)
 
 
 def _check_strategy(
@@ -283,8 +281,7 @@ def _run(
     stop_at: int | None,
 ) -> RouteResult:
     rows, windows, landmarks = _check_strategy(graph, ael, strategy)
-    if not 0 <= source < graph.nodes:
-        raise ValueError("node id out of range")
+    _check_node(source, graph.nodes)
     _check_departure(departure)
 
     division = graph.division

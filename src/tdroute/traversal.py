@@ -30,9 +30,10 @@ form; under "periodic" whole repeats of the pattern are skipped in O(1)
 using the total distance coverable per period, then one in-period search
 (or walk) runs. Both keep the per-call complexity bounds intact.
 
-The five public procedures share one door, ``_checked_cross``: it checks
-the policy, the profile, the departure and the prefix row's length, runs
-the unchecked kernel and wraps its ``(cost, arrival interval)`` pair in a
+The five public procedures and ``routing.traverse_arc`` share one door,
+``_checked_cross``: it checks the policy, the profile, the departure and
+the length of the prefix row it reads, runs the unchecked kernel and
+wraps its ``(cost, arrival interval)`` pair in a
 :class:`TraversalResult`. The routing engine, which validates once per
 query, calls the kernel directly and keeps the pair. For a departure
 inside the horizon it resolves a crossing that ends in its departure
@@ -43,8 +44,8 @@ Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
 prefix table: the first-candidate check plus every bisection step).
 Constant-time guards such as the horizon-boundary test and period
-skipping are not probes. The kernel always counts: the door, or
-``routing.traverse_arc``, supplies a counter when the caller passes none.
+skipping are not probes. The kernel always counts: the door supplies a
+counter when the caller passes none.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class AelTable:
     holds one ``(away, back)`` pair of static distance lists per landmark,
     from it to every node and from every node to it, which bound
     point-to-point queries from below (see :mod:`tdroute.landmarks`).
-    The engine checks the row count but the length of only the first row,
-    so a table is meant to come from ``build_ael(graph)``.
+    The single-arc procedures check the length of the row they read; the
+    route engine checks the row count and the first row's length only, so
+    a table for it is meant to come from ``build_ael(graph)``.
     """
 
     rows: list[list[float]]
@@ -129,11 +131,17 @@ def build_ael(graph: TdGraph) -> AelTable:
     static Dijkstra runs. Raises ValueError naming the first arc whose
     prefix sums cannot bound a search (see :func:`compute_q`).
     """
+    table = _prefix_table(graph)
+    table.landmarks = build_landmarks(graph)
+    return table
+
+
+def _prefix_table(graph: TdGraph) -> AelTable:
+    """:func:`build_ael` without the landmark lists."""
     table = AelTable(rows=[_prefix_row(arc, graph.division) for arc in graph.arcs])
     table.window_bounds = [
         compute_q(arc, table, i) for i, arc in enumerate(graph.arcs)
     ]
-    table.landmarks = build_landmarks(graph)
     return table
 
 
@@ -270,9 +278,10 @@ def _checked_cross(arc: Arc, row: list[float] | None, division: TimeDivision,
                    kind: str, policy: str, tau: float, counter: OpCounter | None,
                    hint: int | None = None,
                    window: int | None = None) -> TraversalResult:
-    """The one door of the single-arc procedures: checks the policy, the
-    ``kind`` profile, the departure and the prefix row's length, then runs
-    :func:`_cross`, counting into a fresh counter when ``counter`` is None."""
+    """The one door of the single-arc procedures and ``routing.traverse_arc``:
+    checks the policy, the ``kind`` profile, the departure and the length of
+    the prefix ``row`` it reads, then runs :func:`_cross`, counting into a
+    fresh counter when ``counter`` is None."""
     if policy not in POLICIES:
         raise ValueError(f"unknown horizon policy {policy!r}")
     _check_profile(arc.profile, kind, division.intervals, policy)

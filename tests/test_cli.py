@@ -8,6 +8,7 @@ from tdroute import (
     CONSTANT,
     LINEAR,
     GeneratorConfig,
+    build_ael,
     dumps,
     generate,
     sample_graph,
@@ -325,6 +326,41 @@ class TestRoute:
         monkeypatch.setattr("tdroute.cli.shortest_paths", spy)
         code, _, _ = run_cli(capsys, "route", demo_path, "0", "--strategy", "att")
         assert code == 0 and handed == [None]
+
+    def test_only_a_search_toward_a_target_builds_landmarks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        handed = []
+
+        def spy(query):
+            def wrapped(graph, table, *args):
+                handed.append(table)
+                return query(graph, table, *args)
+            return wrapped
+
+        monkeypatch.setattr("tdroute.cli.shortest_paths", spy(shortest_paths))
+        monkeypatch.setattr("tdroute.cli.shortest_path_to", spy(shortest_path_to))
+        graph = generate(GeneratorConfig(
+            nodes=12, avg_degree=2.0, intervals=5, horizon=120.0,
+            speed_range=(2.0, 25.0), length_range=(20.0, 400.0), seed=3,
+        ))
+        path = tmp_path / "g.tdg"
+        save(graph, path)
+        full = build_ael(graph)
+        for target in ((), ("--target", "11")):
+            code, _, _ = run_cli(capsys, "route", str(path), "0", *target)
+            assert code == 0
+            table = handed.pop()
+            assert table.rows == full.rows
+            assert table.window_bounds == full.window_bounds
+            assert table.landmarks == (full.landmarks if target else [])
+        assert len(full.landmarks) == LANDMARKS
+
+    def test_an_out_of_range_node_is_named(self, demo_path, capsys):
+        for argv in (("0", "--target", "99"), ("99",)):
+            code, out, err = run_cli(capsys, "route", demo_path, *argv)
+            assert code == 2 and out == ""
+            assert err == "tdroute: node id out of range: 99 (graph has 2 nodes)\n"
 
 
 class TestAttCommand:

@@ -13,13 +13,18 @@ from tdroute import (
     UNREACHABLE,
     AelTable,
     Arc,
+    GeneratorConfig,
     OpCounter,
     SpeedProfile,
     TdGraph,
     TimeDivision,
     att,
     att_linear,
+    bounded_fatt,
     build_ael,
+    fatt,
+    generate,
+    l_fatt,
     locate_interval,
     sample_graph,
     shortest_path_to,
@@ -174,6 +179,42 @@ class TestValidation:
                     shortest_path_to(graph, bad, 0, 1, 6.0, strategy)
                 with pytest.raises(ValueError, match=message):
                     traverse_arc(graph, bad, 0, 6.0, strategy)
+
+    @pytest.mark.parametrize("strategy", ["fatt", "b-fatt", "l-fatt"])
+    def test_traverse_arc_raises_what_the_procedure_raises(self, strategy):
+        kind = LINEAR if strategy == "l-fatt" else CONSTANT
+        graph = generate(GeneratorConfig(
+            nodes=6, avg_degree=2, intervals=8, horizon=100, speed_range=(1, 3),
+            length_range=(200, 400), seed=1, kind=kind,
+        ))
+        table = build_ael(graph)
+        index = graph.arc_count - 1
+        row = table.rows[index]
+
+        def with_last_row(last):
+            return AelTable(table.rows[:-1] + [last], table.window_bounds,
+                            table.landmarks)
+
+        def procedure(ael, tau):
+            args = (graph.arcs[index], ael, index, graph.division, graph.policy, tau)
+            if strategy == "b-fatt":
+                return bounded_fatt(*args, table.window_bounds[index])
+            return (l_fatt if kind == LINEAR else fatt)(*args)
+
+        cases = [(table, tau, "departure instant must be finite and non-negative")
+                 for tau in (-1.0, math.nan, math.inf)]
+        cases += [
+            (with_last_row(row[:2]), 6.0,
+             "prefix row has 2 entries, division has 8 intervals"),
+            (with_last_row(row + [row[-1] + 1.0]), 6.0,
+             "prefix row has 9 entries, division has 8 intervals"),
+        ]
+        for ael, tau, message in cases:
+            with pytest.raises(ValueError, match=message) as want:
+                procedure(ael, tau)
+            with pytest.raises(ValueError) as got:
+                traverse_arc(graph, ael, index, tau, strategy)
+            assert str(got.value) == str(want.value)
 
 
 class TestOptimality:
