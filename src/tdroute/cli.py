@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import ChecksumMismatch, SweepConfig, run_sweep, to_csv
@@ -220,14 +221,10 @@ def _plan(
     if strategy is None:
         default = (graph.kind, searches, False)
         strategy = next(s for s, plan in _PLANS.items() if plan == default)
-    if _PLANS[strategy][1]:
-        table = _prefix_table(graph)
-    elif target:
-        table = AelTable([])
-    else:
-        return strategy, None
+    table = _prefix_table(graph) if _PLANS[strategy][1] else None
     if target:
-        table.landmarks = build_landmarks(graph)
+        table = replace(AelTable([]) if table is None else table,
+                        landmarks=build_landmarks(graph))
     return strategy, table
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import mul, sub
 from typing import Callable, NamedTuple
@@ -94,7 +94,7 @@ class TraversalResult:
     arrival_interval: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AelTable:
     """Per-arc prefix sums of the distance coverable in each interval.
 
@@ -105,9 +105,11 @@ class AelTable:
     holds one ``(away, back)`` pair of static distance lists per landmark,
     from it to every node and from every node to it, which bound
     point-to-point queries from below (see :mod:`tdroute.landmarks`).
-    The single-arc procedures check the length of the row they read; the
-    route engine checks the row count and the first row's length only, so
-    a table for it is meant to come from ``build_ael(graph)``.
+
+    A table is a value: build it whole, with ``dataclasses.replace`` to add
+    a part. The single-arc procedures check the length of the row they
+    read; the route engine checks the row count and the first row's length
+    only, so a table for it is meant to come from ``build_ael(graph)``.
     """
 
     rows: list[list[float]]
@@ -131,18 +133,15 @@ def build_ael(graph: TdGraph) -> AelTable:
     static Dijkstra runs. Raises ValueError naming the first arc whose
     prefix sums cannot bound a search (see :func:`compute_q`).
     """
-    table = _prefix_table(graph)
-    table.landmarks = build_landmarks(graph)
-    return table
+    return replace(_prefix_table(graph), landmarks=build_landmarks(graph))
 
 
 def _prefix_table(graph: TdGraph) -> AelTable:
     """:func:`build_ael` without the landmark lists."""
-    table = AelTable(rows=[_prefix_row(arc, graph.division) for arc in graph.arcs])
-    table.window_bounds = [
+    table = AelTable([_prefix_row(arc, graph.division) for arc in graph.arcs])
+    return replace(table, window_bounds=[
         compute_q(arc, table, i) for i, arc in enumerate(graph.arcs)
-    ]
-    return table
+    ])
 
 
 def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
