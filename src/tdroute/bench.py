@@ -29,6 +29,11 @@ from .traversal import AelTable, OpCounter, _prefix_row, _smallest_step, build_a
 
 CSV_HEADER = "strategy,K,n,m,Q,queries,probes,wall_ns"
 
+# A cell holds its departures and two result lists per strategy before the
+# first query, about 210 B per query (tracemalloc, K=2, two strategies):
+# 2^22 queries stay under 1 GiB.
+MAX_QUERIES = 2**22
+
 _SPEED_RANGE = (5.0, 30.0)
 # Departures are drawn from the first few percent of the horizon so the
 # scan is forced across most of the division.
@@ -58,8 +63,9 @@ class SweepConfig:
             raise ValueError("K must be at least 2")
         if max(self.k_values) > MAX_INTERVALS:
             raise ValueError(f"K {max(self.k_values)} exceeds the cap of {MAX_INTERVALS}")
-        if self.queries < 0:
-            raise ValueError("query count must be non-negative")
+        if not 0 <= self.queries <= MAX_QUERIES:
+            raise ValueError(f"query count {self.queries} is not in "
+                             f"[0, {MAX_QUERIES}]")
         if not 0.0 < self.span < 1.0:
             raise ValueError("span must be inside (0, 1)")
         if self.window is not None and self.window < 1:

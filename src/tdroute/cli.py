@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 2 parse/validation failure (argparse errors
 included), 3 unreachable target under --require-reachable, 1 benchmark
-integrity failure.
+integrity failure, 141 stdout closed by its reader (as after SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +32,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # inside the try, so a closed pipe is caught here
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at the null device so
+        # the flush at exit cannot fail again, and report what a shell
+        # reports for a tool stopped by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GraphFormatError, ValueError, OSError) as error:
         print(f"tdroute: {error}", file=sys.stderr)
         return 2
@@ -215,9 +224,10 @@ def _plan(
     graph: TdGraph, strategy: str | None, searches: bool, target: bool = False
 ) -> tuple[str, AelTable | None]:
     """The strategy (default: the graph kind's unwindowed search, or its scan
-    when not ``searches``) and its table: the prefix rows and window bounds
-    for a search, plus the landmark lists that A* reads toward a ``target``.
-    A one-to-all scan gets no table."""
+    when not ``searches``) and its table, built in two steps: the prefix
+    rows and window bounds for a search, then the landmark lists that A*
+    reads toward a ``target``, added by ``replace``. A one-to-all scan gets
+    no table."""
     if strategy is None:
         default = (graph.kind, searches, False)
         strategy = next(s for s, plan in _PLANS.items() if plan == default)

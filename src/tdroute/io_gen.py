@@ -282,12 +282,11 @@ class GeneratorConfig:
                 f"horizon must be finite and at least {sys.float_info.min!r}, "
                 f"got {self.horizon!r}"
             )
-        lo, hi = self.speed_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("degenerate speed range")
-        lo, hi = self.length_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("degenerate length range")
+        for name, (lo, hi) in (("speed", self.speed_range),
+                               ("length", self.length_range)):
+            if not 0.0 < lo <= hi < math.inf:
+                raise ValueError(f"degenerate {name} range: need 0 < MIN <= MAX "
+                                 f"< inf, got {lo!r} {hi!r}")
         if not 0.0 <= self.avg_degree <= self.nodes - 1:
             raise ValueError("average degree must be in [0, nodes-1]")
         arcs = round(self.nodes * self.avg_degree)

@@ -233,8 +233,11 @@ def _check_strategy(
     """The kernel's per-arc prefix rows (None for a scan) and search windows
     (None unless windowed) under ``strategy``, and the table's landmark
     lists (empty without a table), once the strategy suits the graph and
-    the table has one row and window per arc, a first row of one entry per
-    interval and one landmark distance per node of the graph."""
+    the table has one row and window per arc, rows of one entry per
+    interval and one landmark distance per node of the graph. The rows'
+    shared length, recorded when the table was built, makes their check
+    O(1); the rows are walked, to name the first bad one, only when that
+    length is not the interval count."""
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -260,8 +263,9 @@ def _check_strategy(
             f"prefix table has {len(ael.rows)} rows, graph has "
             f"{graph.arc_count} arcs"
         )
-    if ael.rows:  # O(1): the other rows are trusted to match the first
-        _check_row_length(ael.rows[0], graph.division.intervals)
+    if ael._row_length != graph.division.intervals:
+        for row in ael.rows:
+            _check_row_length(row, graph.division.intervals)
     if not windowed:
         return ael.rows, None, landmarks
     if len(ael.window_bounds) != graph.arc_count:
@@ -283,6 +287,7 @@ def _run(
     rows, windows, landmarks = _check_strategy(graph, ael, strategy)
     _check_node(source, graph.nodes)
     _check_departure(departure)
+    departure += 0.0  # -0.0 becomes +0.0; every other value keeps its bits
 
     division = graph.division
     policy = graph.policy

@@ -107,14 +107,20 @@ class AelTable:
     point-to-point queries from below (see :mod:`tdroute.landmarks`).
 
     A table is a value: build it whole, with ``dataclasses.replace`` to add
-    a part. The single-arc procedures check the length of the row they
-    read; the route engine checks the row count and the first row's length
-    only, so a table for it is meant to come from ``build_ael(graph)``.
+    a part, and do not edit its rows afterwards. Building it records the
+    length all rows share, so the route engine checks every row's length
+    in O(1) per query.
     """
 
     rows: list[list[float]]
     window_bounds: list[int] = field(default_factory=list)
     landmarks: list[tuple[list[float], list[float]]] = field(default_factory=list)
+    _row_length: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lengths = set(map(len, self.rows))
+        object.__setattr__(self, "_row_length",
+                           lengths.pop() if len(lengths) == 1 else None)
 
 
 def effective_length(arc: Arc, division: TimeDivision, k: int) -> float:
@@ -129,9 +135,10 @@ def build_ael(graph: TdGraph) -> AelTable:
     """Prefix-sum every arc's interval distances; O(mK) time and space.
 
     A constant-kind row is one ``accumulate`` of speed times interval
-    width. The table also carries the landmark distance lists, a few
-    static Dijkstra runs. Raises ValueError naming the first arc whose
-    prefix sums cannot bound a search (see :func:`compute_q`).
+    width. The window bounds and then the landmark distance lists, a few
+    static Dijkstra runs, are added by ``replace``, so no table is changed
+    once built. Raises ValueError naming the first arc whose prefix sums
+    cannot bound a search (see :func:`compute_q`).
     """
     return replace(_prefix_table(graph), landmarks=build_landmarks(graph))
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from tdroute import ChecksumMismatch, SweepConfig, run_sweep, to_csv
-from tdroute.bench import _verify, run_cell
+from tdroute.bench import MAX_QUERIES, _verify, run_cell
 from tdroute.io_gen import MAX_INTERVALS
 
 
@@ -30,6 +30,9 @@ class TestSweepConfig:
             SweepConfig(**{**good, "strategies": ()})
         with pytest.raises(ValueError, match=f"K {MAX_INTERVALS + 1} exceeds the cap"):
             SweepConfig(**{**good, "k_values": (8, MAX_INTERVALS + 1)})
+        SweepConfig(**{**good, "queries": MAX_QUERIES})
+        with pytest.raises(ValueError, match=f"query count {MAX_QUERIES + 1} is not in"):
+            SweepConfig(**{**good, "queries": MAX_QUERIES + 1})
 
 
 class TestRunCell:

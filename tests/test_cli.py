@@ -16,7 +16,7 @@ from tdroute import (
     shortest_path_to,
     shortest_paths,
 )
-from tdroute.bench import ChecksumMismatch
+from tdroute.bench import MAX_QUERIES, ChecksumMismatch
 from tdroute.cli import main
 from tdroute.landmarks import LANDMARKS
 from tdroute.model import MAX_NODES
@@ -124,6 +124,13 @@ class TestRoute:
             assert code == 2
             assert out == ""
             assert err.startswith("tdroute: ") and err.count("\n") == 1
+
+    def test_a_negative_zero_departure_prints_zero(self, demo_path, capsys):
+        code, out, _ = run_cli(capsys, "route", demo_path, "0", "--departure", "-0")
+        assert code == 0 and out.splitlines()[1] == "0 0 -"
+        code, out, _ = run_cli(capsys, "route", demo_path, "0", "--departure", "-0",
+                               "--target", "0", "--csv")
+        assert code == 0 and out.splitlines()[-1] == "0,0,0"
 
     def test_tiny_speed_arc_is_a_usage_error(self, tmp_path, capsys):
         # At 1e-320 m/s the 1 m arc takes no finite time, so loading rejects
@@ -449,6 +456,16 @@ class TestGenValidate:
         assert code == 2
         assert "horizon must be finite and at least" in err
 
+    @pytest.mark.parametrize("name", ["speed", "length"])
+    def test_gen_rejects_an_infinite_range(self, tmp_path, capsys, name):
+        out = tmp_path / "g.tdg"
+        code, stdout, err = run_cli(capsys, "gen", str(out),
+                                    f"--{name}-range", "1", "inf")
+        assert (code, stdout) == (2, "")
+        assert err == (f"tdroute: degenerate {name} range: need 0 < MIN <= MAX < inf, "
+                       "got 1.0 inf\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -513,6 +530,16 @@ class TestBench:
         assert code == 0
         assert out == "strategy,K,n,m,Q,queries,probes,wall_ns\n"
 
+    def test_queries_over_the_cap_rejected(self, monkeypatch, capsys):
+        def fail(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("tdroute.cli.run_sweep", fail)
+        code, out, err = run_cli(capsys, "bench", "--queries", str(MAX_QUERIES + 1))
+        assert (code, out) == (2, "")
+        assert err == (f"tdroute: query count {MAX_QUERIES + 1} is not in "
+                       f"[0, {MAX_QUERIES}]\n")
+
     def test_kmax_over_the_cap_rejected(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--kmax", "1099511627776")
         assert (code, out) == (2, "")
@@ -576,14 +603,39 @@ class TestBench:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, demo_path):
+    @staticmethod
+    def module_env():
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return env
+
+    def test_module_invocation(self, demo_path):
         proc = subprocess.run(
             [sys.executable, "-m", "tdroute", "att", demo_path, "0",
              "--departure", "6"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=self.module_env(),
         )
         assert proc.returncode == 0
         assert "cost 21.5" in proc.stdout
+
+    @pytest.mark.parametrize("nodes", [5, 2000])
+    def test_a_closed_stdout_exits_141_quietly(self, tmp_path, nodes):
+        # 5 nodes print less than stdout's buffer, so the final flush meets
+        # the closed pipe; 2,000 nodes make print itself meet it.
+        path = tmp_path / "g.tdg"
+        save(generate(GeneratorConfig(
+            nodes=nodes, avg_degree=2.0, intervals=4, horizon=60.0,
+            speed_range=(5.0, 30.0), length_range=(50.0, 500.0), seed=1,
+        )), path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tdroute", "route", str(path), "0"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self.module_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""

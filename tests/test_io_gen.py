@@ -425,6 +425,8 @@ class TestGenerator:
             dict(policy="sometimes"),
             dict(intervals=MAX_INTERVALS + 1),
             dict(nodes=MAX_NODES, avg_degree=2.0),   # about 2^35 B of arcs
+            dict(speed_range=(1.0, math.inf)),
+            dict(length_range=(1.0, math.inf)),
         ],
     )
     def test_degenerate_configs_rejected(self, overrides):

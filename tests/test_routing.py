@@ -123,6 +123,14 @@ class TestValidation:
             with pytest.raises(ValueError):
                 shortest_paths(graph, None, 0, departure, "att")
 
+    def test_a_negative_zero_departure_is_positive_zero(self):
+        graph = sample_graph()
+        result = shortest_paths(graph, build_ael(graph), 0, -0.0, "fatt")
+        assert math.copysign(1.0, result.departure) == 1.0
+        assert math.copysign(1.0, result.arrival[0]) == 1.0
+        to_source = shortest_path_to(graph, None, 0, 0, -0.0, "att")
+        assert math.copysign(1.0, to_source.arrival) == 1.0
+
     def test_unknown_strategy(self):
         graph = sample_graph()
         with pytest.raises(ValueError):
@@ -179,6 +187,26 @@ class TestValidation:
                     shortest_path_to(graph, bad, 0, 1, 6.0, strategy)
                 with pytest.raises(ValueError, match=message):
                     traverse_arc(graph, bad, 0, 6.0, strategy)
+
+    def test_the_engine_checks_every_row(self):
+        # Only the last row is cut or one entry long; the first is whole.
+        graph = generate(GeneratorConfig(
+            nodes=6, avg_degree=2, intervals=8, horizon=100, speed_range=(1, 3),
+            length_range=(200, 400), seed=1,
+        ))
+        table = build_ael(graph)
+        row = table.rows[-1]
+        for last in (row[:2], row + [row[-1] + 1.0]):
+            bad = AelTable(table.rows[:-1] + [last], table.window_bounds,
+                           table.landmarks)
+            message = (f"prefix row has {len(last)} entries, "
+                       "division has 8 intervals")
+            for strategy in ("fatt", "b-fatt"):
+                for source in range(graph.nodes):
+                    with pytest.raises(ValueError, match=message):
+                        shortest_paths(graph, bad, source, 1.0, strategy)
+                    with pytest.raises(ValueError, match=message):
+                        shortest_path_to(graph, bad, source, 0, 1.0, strategy)
 
     @pytest.mark.parametrize("strategy", ["fatt", "b-fatt", "l-fatt"])
     def test_traverse_arc_raises_what_the_procedure_raises(self, strategy):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -106,6 +107,11 @@ class TestEffectiveLength:
 class TestAelTable:
     def test_demo_prefix_sums(self):
         assert DEMO_AEL.rows[0] == [100.0, 130.0, 250.0, 350.0]
+
+    def test_a_table_is_frozen(self):
+        table = build_ael(sample_graph())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.landmarks = []
 
     def test_single_interval(self):
         division = TimeDivision((0.0, 10.0))
