@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .io_gen import MAX_INTERVALS, _random_profile
 from .model import STATIC, Arc, TdGraph, TimeDivision
 from .routing import _PLANS, STRATEGIES, traverse_arc
-from .traversal import AelTable, OpCounter, _prefix_row, _smallest_step, build_ael
+from .traversal import OpCounter, _prefix_row, _prefix_table, _smallest_step
 
 CSV_HEADER = "strategy,K,n,m,Q,queries,probes,wall_ns"
 
@@ -127,11 +127,11 @@ def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
         length = min(length, config.window * _smallest_step(row) * 0.99)
     arc = Arc(0, 1, length, profile)
     graph = TdGraph(2, division, config.policy, kind, (arc,))
-    table = build_ael(graph)
+    table = _prefix_table(graph)
     q = table.window_bounds[0]
     if config.window is not None and config.window > q:
         q = config.window
-        table = AelTable(table.rows, [q])
+        table = replace(table, window_bounds=[q])
 
     horizon = division.horizon
     departures = [

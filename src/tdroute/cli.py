@@ -15,7 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import ChecksumMismatch, SweepConfig, run_sweep, to_csv
-from .io_gen import GeneratorConfig, GraphFormatError, generate, load, save, validate_file
+from .io_gen import (GeneratorConfig, GraphFormatError, _num, generate, load, save,
+                     validate_file)
 from .landmarks import build_landmarks
 from .model import KINDS, POLICIES, TdGraph
 from .routing import (
@@ -134,7 +135,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             graph, table, args.source, args.departure, strategy
         )
         # --csv prints io_gen's number format, in which inf is "inf".
-        sep, number, missing = ((",", "{:.17g}".format, "") if args.csv
+        sep, number, missing = ((",", _num, "") if args.csv
                                 else (" ", _pretty, "-"))
         print(sep.join(("node", "arrival", "predecessor")))
         for node, pred in enumerate(result.predecessor):
@@ -147,7 +148,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     if args.csv:
         print("target,arrival,path")
         path = "" if outcome.path is None else " ".join(map(str, outcome.path))
-        print(f"{args.target},{outcome.arrival:.17g},{path}")
+        print(f"{args.target},{_num(outcome.arrival)},{path}")
     elif outcome.path is None:
         print(f"target {args.target} unreachable")
     else:

@@ -10,28 +10,20 @@ target, length and speed lists (built once by :class:`TdGraph`), the
 breakpoints and the table's prefix rows and windows. No
 ``TraversalResult`` is allocated per relaxation.
 
-The loop takes the two common exits of the crossing kernel
-``traversal._cross`` itself. For a node settled at ``label`` inside the
-horizon, in interval k:
-
-* Same interval, as most crossings on realistic networks end. An arc
-  relaxes at cost ``length / values[k]`` with arrival interval k when
-  ``values[k] * (points[k+1] - label) >= length`` and ``label + cost <
-  points[k+1]``: the kernel's own test and cost, the kind's ``cover`` and
-  ``within``, inlined for constant speeds and called for linear ones.
-* Searched, as every crossing is in the paper's regime of long arcs and
-  short intervals. When the test above fails, a searching strategy whose
-  prefix row says the arrival lies within the horizon calls the kernel's
-  search core ``traversal._searched``, which bisects the row and counts
-  into the query's stats. The arrival keeps the core's interval ``stop``
-  when ``points[stop] <= label + cost < points[stop+1]``; otherwise
-  ``locate_interval`` places it, as in the kernel.
-
-Every other crossing is one kernel call: a scan's, one that ends in its
-departure interval on or past ``points[k+1]``, one that arrives past the
-horizon, and every crossing from a label at or past the horizon. Both
-ways give the same bits, so answers and counters do not depend on which
-one ran. The strategy picks the procedure the kernel runs:
+The loop finishes a same-interval crossing; everything else is one call
+to the crossing kernel ``traversal._cross``. For a node settled at
+``label`` inside the horizon, in interval k, an arc relaxes at cost
+``length / values[k]`` with arrival interval k when ``values[k] *
+(points[k+1] - label) >= length`` and ``label + cost < points[k+1]``:
+the kernel's own test and cost, the kind's ``cover`` and ``within``,
+inlined for constant speeds and called for linear ones. Most crossings
+on realistic networks end so. Any other crossing, and every one from a
+label past the horizon, which departs from the instant the policy maps
+the label to, is one kernel call given k, that instant and the distance
+the test computed. The arrival keeps the kernel's interval ``stop`` when
+``points[stop] <= label + cost < points[stop+1]``; otherwise
+``locate_interval`` places it, as the single-arc door does. The strategy
+picks the procedure the kernel runs:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -94,7 +86,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .landmarks import potential, targeting
-from .model import CONSTANT, LINEAR, TdGraph, _check_node, locate_interval
+from .model import CONSTANT, LINEAR, STATIC, TdGraph, _check_node, locate_interval
 from .traversal import (
     _KINDS,
     AelTable,
@@ -104,7 +96,6 @@ from .traversal import (
     _check_row_length,
     _checked_cross,
     _cross,
-    _searched,
 )
 
 ATT = "att"
@@ -293,10 +284,9 @@ def _run(
     policy = graph.policy
     points = division.breakpoints
     horizon = points[-1]
-    last = len(points) - 2
     constant = graph.kind == CONSTANT
-    cover, within, _ = _KINDS[graph.kind]
-    arcs = graph.arcs
+    kind = _KINDS[graph.kind]
+    cover, within = kind.cover, kind.within
     adjacency = graph._adjacency
     dsts = graph._dst
     lengths = graph._length
@@ -336,10 +326,12 @@ def _run(
         k = hint[node]
         end = points[k + 1]
         room = end - label
-        # Inside the horizon points[k] <= label < end; past it k is the
-        # interval label maps to under the policy, and every crossing goes
-        # to the kernel.
+        # Inside the horizon points[k] <= label < end. Past it every
+        # crossing goes to the kernel, from t, the instant label maps to
+        # under the policy, which interval k holds.
         inside = label < horizon
+        t = (label if inside
+             else horizon if policy == STATIC else math.fmod(label, horizon))
         for arc_index in adjacency[node]:
             dst = dsts[arc_index]
             if settled[dst]:
@@ -352,43 +344,31 @@ def _run(
                     # _cover_constant(values, points, k, label) >= length, then
                     # _within_constant(values, points, k, label, length), inline
                     speed = speeds[arc_index][k]
-                    if speed * room >= length:
+                    first = speed * room
+                    if first >= length:
                         cost = length / speed
-                elif cover(speeds[arc_index], points, k, label) >= length:
+                elif (first := cover(speeds[arc_index], points, k, label)) >= length:
                     cost = within(speeds[arc_index], points, k, label, length)
             if label + cost < end:
                 # _cross's same-interval exit, arriving before the interval ends.
                 interval = k
-            elif (
-                # _cross's searched exit: the same-interval test failed, so the
-                # remaining distance (recomputed here to keep it off that
-                # exit's path) is positive, and the prefix row puts the
-                # arrival within the horizon.
-                inside
-                and rows is not None
-                and 0.0 < (remaining := length - (
-                    speeds[arc_index][k] * room if constant
-                    else cover(speeds[arc_index], points, k, label)
-                )) <= (row := rows[arc_index])[last] - row[k]
-            ):
-                cost, interval = _searched(
-                    within, speeds[arc_index], row, points, k + 1, -label,
-                    remaining, None if windows is None else windows[arc_index],
+            else:
+                if not inside:
+                    length = lengths[arc_index]
+                    first = cover(speeds[arc_index], points, k, t)
+                # One kernel call, given the distance first coverable in
+                # interval k. The stats serve as its counter.
+                cost, interval = _cross(
+                    kind, speeds[arc_index], length,
+                    None if rows is None else rows[arc_index],
+                    points, policy, k, t, first,
+                    None if windows is None else windows[arc_index],
                     stats,
                 )
                 arrive = label + cost
-                # _cross's locate_interval call, inline while the hint holds
+                # The door's locate_interval call, inline while the hint holds
                 if not points[interval] <= arrive < points[interval + 1]:
                     interval = locate_interval(division, arrive, policy, interval)
-            else:
-                # The stats serve as the kernel's counter: it adds to probes
-                # and steps.
-                cost, interval = _cross(
-                    arcs[arc_index],
-                    None if rows is None else rows[arc_index],
-                    division, policy, label, k, stats,
-                    None if windows is None else windows[arc_index],
-                )
             candidate = label + cost
             if candidate < arrival[dst]:
                 arrival[dst] = candidate

@@ -30,15 +30,15 @@ form; under "periodic" whole repeats of the pattern are skipped in O(1)
 using the total distance coverable per period, then one in-period search
 (or walk) runs. Both keep the per-call complexity bounds intact.
 
-The five public procedures and ``routing.traverse_arc`` share one door,
-``_checked_cross``: it checks the policy, the profile, the departure and
-the length of the prefix row it reads, runs the unchecked kernel and
-wraps its ``(cost, arrival interval)`` pair in a
-:class:`TraversalResult`. The routing engine, which validates once per
-query, calls the kernel directly and keeps the pair. For a departure
-inside the horizon it resolves a crossing that ends in its departure
-interval itself, and hands one whose searched arrival lies within the
-horizon to ``_searched``, the one function that bisects a prefix row.
+The kernel holds every exit of a crossing: the same interval, the
+search (the one bisection of a prefix row), the scan, the static tail
+and the periodic wrap. The five public procedures and
+``routing.traverse_arc`` share one door, ``_checked_cross``: it checks
+the policy, the profile, the departure and the length of the prefix row
+it reads, locates the departure, runs the unchecked kernel and locates
+the arrival. The routing engine, which validates once per query,
+finishes a same-interval crossing itself; everything else is one call to
+the kernel.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -55,13 +55,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import mul, sub
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .landmarks import build_landmarks
 from .model import (
     CONSTANT,
     LINEAR,
-    PERIODIC,
     POLICIES,
     STATIC,
     Arc,
@@ -286,8 +285,9 @@ def _checked_cross(arc: Arc, row: list[float] | None, division: TimeDivision,
                    window: int | None = None) -> TraversalResult:
     """The one door of the single-arc procedures and ``routing.traverse_arc``:
     checks the policy, the ``kind`` profile, the departure and the length of
-    the prefix ``row`` it reads, then runs :func:`_cross`, counting into a
-    fresh counter when ``counter`` is None."""
+    the prefix ``row`` it reads, locates the departure, runs :func:`_cross`,
+    counting into a fresh counter when ``counter`` is None, and locates the
+    arrival. ``hint`` seeds the departure's interval location."""
     if policy not in POLICIES:
         raise ValueError(f"unknown horizon policy {policy!r}")
     _check_profile(arc.profile, kind, division.intervals, policy)
@@ -295,8 +295,19 @@ def _checked_cross(arc: Arc, row: list[float] | None, division: TimeDivision,
     if row is not None:
         _check_row_length(row, division.intervals)
     counter = OpCounter() if counter is None else counter
-    crossing = _cross(arc, row, division, policy, tau, hint, counter, window)
-    return TraversalResult(*crossing)
+    points = division.breakpoints
+    horizon = points[-1]
+    t = tau
+    if t >= horizon:
+        # Static speeds stay frozen past the horizon: a later departure
+        # costs what departing at the horizon does.
+        t = horizon if policy == STATIC else math.fmod(t, horizon)
+    k = locate_interval(division, t, policy, hint)
+    primitives, values = _KINDS[kind], arc.profile.values
+    first = primitives.cover(values, points, k, t)
+    cost, stop = _cross(primitives, values, arc.length, row, points, policy, k, t,
+                        first, window, counter)
+    return TraversalResult(cost, locate_interval(division, tau + cost, policy, stop))
 
 
 def _row(ael: AelTable, index: int) -> list[float]:
@@ -321,127 +332,92 @@ def _check_row_length(row: list[float], intervals: int) -> None:
 
 
 def _cross(
-    arc: Arc,
-    row: list[float] | None,
-    division: TimeDivision,
-    policy: str,
-    tau: float,
-    hint: int | None,
-    counter: OpCounter,
-    window: int | None,
-) -> tuple[float, int]:
-    """The crossing of ``arc`` departing at ``tau`` as (cost, arrival
-    interval); arguments are not checked.
-
-    The scan (``row`` None) finds the arrival interval with the kind's walk,
-    the search (:func:`_searched`) over the prefix ``row``, confined to
-    ``window`` intervals unless None. locate_interval verifies it as a
-    hint, so a crossing that ends on a breakpoint still lands in the right
-    interval.
-    """
-    cover, within, walk = _KINDS[arc.profile.kind]
-    values = arc.profile.values
-    length = arc.length
-    points = division.breakpoints
-    horizon = points[-1]
-    last = len(points) - 2
-    t = tau
-    if t >= horizon:
-        # Static speeds stay frozen past the horizon: a later departure
-        # costs what departing at the horizon does.
-        t = horizon if policy == STATIC else math.fmod(t, horizon)
-    k = locate_interval(division, t, policy, hint)
-    first = cover(values, points, k, t)
-    if first >= length:
-        # The same-interval exit. The routing engine takes it without this
-        # call when the arrival also stays before points[k + 1].
-        cost = within(values, points, k, t, length)
-        return cost, locate_interval(division, tau + cost, policy, k)
-    remaining = length - first
-    if row is not None and remaining <= row[last] - row[k]:
-        # The routing engine calls the search core itself for a label inside
-        # the horizon.
-        cost, stop = _searched(within, values, row, points, k + 1, -t, remaining,
-                               window, counter)
-        return cost, locate_interval(division, tau + cost, policy, stop)
-    # The arrival lies in interval stop (last + 1: past the horizon), entered
-    # lead + points[stop] after tau with rest still to cover.
-    if row is None:
-        stop, rest = walk(values, points, k + 1, last + 1, remaining)
-        counter.steps += min(stop, last) - k
-    else:
-        stop, rest = last + 1, remaining - (row[last] - row[k])
-    lead = -t
-    if stop > last and policy == PERIODIC:
-        # Skip whole repeats of the pattern, then find the arrival in one period.
-        total = _prefix_row(arc, division)[-1] if row is None else row[last]
-        if not total > 0.0:
-            raise ValueError(f"arc {arc.src}->{arc.dst}: a period covers no distance")
-        repeats, rest = divmod(rest, total)
-        lead = (horizon - t) + repeats * horizon
-        if row is not None:
-            cost, stop = _searched(within, values, row, points, 0, lead, rest,
-                                   window, counter)
-            return cost, locate_interval(division, tau + cost, policy, stop)
-        stop, rest = walk(values, points, 0, last, rest)
-        counter.steps += last + 1 + min(stop + 1, last)  # K for the total, then walk
-    if stop > last:
-        # Static tail: the rest at the last measured speed.
-        cost, stop = (horizon - t) + rest / values[-1], last
-    else:
-        cost = (lead + points[stop]) + within(values, points, stop, points[stop], rest)
-    return cost, locate_interval(division, tau + cost, policy, stop)
-
-
-def _searched(
-    within: Callable[..., float],
+    kind: _Kind,
     values: tuple[float, ...],
-    row: list[float],
+    length: float,
+    row: list[float] | None,
     points: tuple[float, ...],
-    start: int,
-    lead: float,
-    remaining: float,
+    policy: str,
+    k: int,
+    t: float,
+    first: float,
     window: int | None,
     counter: OpCounter,
 ) -> tuple[float, int]:
-    """The searched end of a crossing as (cost, interval ``stop`` of the
-    arrival); only the search window is checked.
+    """The crossing of an arc of ``length`` m with speed ``values`` of the
+    ``kind`` from ``t`` in interval ``k``, as (cost, interval ``stop`` where
+    it ends in the period); only the search window is checked.
 
-    ``remaining`` is the distance still to cover from the start of
-    interval ``start``, an instant ``lead + points[start]`` after the
-    departure. The search bisects ``row`` over intervals ``start`` through
-    the last, or through ``start + window`` if that comes first and
-    ``window`` is not None, for the one that holds the end of
-    ``remaining``. It checks interval ``start`` first, so a crossing that
-    ends there costs one probe. The caller maps the arrival instant to its
-    interval with ``stop`` as the hint.
+    The arguments are the plain values that the route engine's flat per-arc
+    lists hold, so a crossing costs the engine no lookups. ``t`` lies inside
+    the horizon, mapped there by the policy when the departure does not,
+    and ``first`` is the distance coverable from ``t`` to the end of
+    interval ``k``. The scan (``row`` None) finds the arrival interval with
+    the kind's walk. The search bisects the prefix ``row``, confined to
+    ``window`` intervals unless None, and checks the first candidate first,
+    so a crossing that ends there costs one probe. The caller locates the
+    arrival instant with ``stop`` as the hint, so a crossing that ends on a
+    breakpoint or past the horizon still lands in the right interval.
     """
+    if first >= length:
+        return kind.within(values, points, k, t, length), k
     last = len(points) - 2
-    hi = last if window is None else min(start + window, last)
-    base = row[start - 1] if start > 0 else 0.0
-    # Checked once: with row increasing, this makes the bisection terminate.
-    if not (start <= hi and remaining <= row[hi] - base):
-        raise ValueError(
-            f"arrival search: {remaining!r} m exceeds intervals {start}..{hi}"
-        )
-    probes = 1
-    stop = start
-    if remaining > row[start] - base:
-        lo = start + 1
-        while True:
-            probes += 1
-            stop = (lo + hi) >> 1
-            before = row[stop - 1] - base
-            if remaining < before:
-                hi = stop - 1
-            elif remaining > row[stop] - base:
-                lo = stop + 1
-            else:
-                remaining -= before
-                break
-    counter.probes += probes
+    # The arrival lies in interval stop (last + 1: past the horizon), entered
+    # lead + points[stop] after t with rest still to cover.
+    lead, rest = -t, length - first
+    if row is None:
+        stop, rest = kind.walk(values, points, k + 1, last + 1, rest)
+        counter.steps += min(stop, last) - k
+    elif rest <= row[last] - row[k]:
+        stop = k + 1
+    else:
+        stop, rest = last + 1, rest - (row[last] - row[k])
+    if stop > last:
+        horizon = points[-1]
+        if policy == STATIC:
+            # Static tail: the rest at the last measured speed.
+            return (horizon - t) + rest / values[-1], last
+        # Skip whole repeats of the pattern, then find the arrival in one period.
+        if row is None:
+            # The prefix row's last entry, summed as _prefix_row sums it
+            *_, total = accumulate(kind.cover(values, points, j, points[j])
+                                   for j in range(last + 1))
+        else:
+            total = row[last]
+        if not total > 0.0:
+            raise ValueError("a period covers no distance")
+        repeats, rest = divmod(rest, total)
+        lead, stop = (horizon - t) + repeats * horizon, 0
+        if row is None:
+            stop, rest = kind.walk(values, points, 0, last, rest)
+            # K steps for the total, then the walk's
+            counter.steps += last + 1 + min(stop + 1, last)
+    if row is not None:
+        # Bisect intervals stop..hi for the one that holds the end of rest.
+        hi = last if window is None else min(stop + window, last)
+        base = row[stop - 1] if stop else 0.0
+        # Checked once: with row increasing, this makes the bisection terminate.
+        if not (stop <= hi and rest <= row[hi] - base):
+            raise ValueError(
+                f"arrival search: {rest!r} m exceeds intervals {stop}..{hi}"
+            )
+        probes = 1
+        if rest > row[stop] - base:
+            lo = stop + 1
+            while True:
+                probes += 1
+                stop = (lo + hi) >> 1
+                before = row[stop - 1] - base
+                if rest < before:
+                    hi = stop - 1
+                elif rest > row[stop] - base:
+                    lo = stop + 1
+                else:
+                    rest -= before
+                    break
+        counter.probes += probes
     at = points[stop]
-    return (lead + at) + within(values, points, stop, at, remaining), stop
+    return (lead + at) + kind.within(values, points, stop, at, rest), stop
 
 
 def _prefix_row(arc: Arc, division: TimeDivision) -> list[float]:
@@ -463,7 +439,8 @@ def _smallest_step(row: list[float]) -> float:
     return min(map(sub, row, (0.0, *row)))
 
 
-class _Kind(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _Kind:
     """The primitives through which a speed kind enters the kernels.
 
     ``cover(values, points, k, t)``: distance coverable from ``t`` to the
@@ -472,6 +449,7 @@ class _Kind(NamedTuple):
     points, start, end, remaining)``: the first interval j in
     [start, end) whose whole span holds ``remaining``, with the distance
     still left at its start, as (j, rest); (end, rest) when none does.
+    Slotted, so the kernel reads a primitive in one cheap attribute load.
     """
 
     cover: Callable[..., float]

@@ -627,8 +627,9 @@ def assert_tree_crossings(graph, table, strategy, result):
 
 
 class TestSearchedExit:
-    """A searched crossing whose arrival lies within the horizon resolves
-    in the engine's loop through the kernel's search core."""
+    """The engine's loop finishes a same-interval crossing and hands every
+    other, searched ones included, to the crossing kernel; each gives the
+    single-arc door's bits."""
 
     def test_every_crossing_reproduces_the_kernel_bit_for_bit(self):
         rng = random.Random(91)
@@ -637,9 +638,9 @@ class TestSearchedExit:
                 graph = fine_grid(rng, kind, policy)
                 table = build_ael(graph)
                 horizon = graph.division.horizon
-                for strategy in strategies_for(kind)[1:]:
-                    # Early departures search within the horizon; late ones
-                    # also arrive past it and depart past it.
+                for strategy in strategies_for(kind):
+                    # Early departures search or scan within the horizon;
+                    # late ones also arrive past it and depart past it.
                     for departure in (rng.uniform(0.0, 3600.0),
                                       horizon - rng.uniform(0.0, 7200.0)):
                         source = rng.randrange(graph.nodes)
@@ -654,7 +655,9 @@ class TestSearchedExit:
         # holds; arc 1 covers 150 m and arrives on the horizon 30.0. The
         # search stops in the interval that ends there, so the loop's
         # bracket check fails and locate_interval places the arrival.
-        # Arcs 2 and 3 then arrive past the horizon or depart on it.
+        # Arcs 2 and 3 then arrive past the horizon or depart on it; the
+        # kernel's hint there is the static tail's last interval or the
+        # periodic wrap's interval 0, and the loop places those arrivals too.
         division = TimeDivision((0.0, 10.0, 20.0, 30.0))
         asked = []
 
@@ -671,11 +674,13 @@ class TestSearchedExit:
                     Arc(1, 3, 200.0, profile), Arc(2, 3, 10.0, profile),
                 ))
                 table = build_ael(graph)
+                past = 2 if policy == STATIC else 0
                 for strategy in strategies_for(kind)[1:]:
                     asked.clear()
                     result = shortest_paths(graph, table, 0, 0.0, strategy)
                     assert result.arrival == [0.0, 20.0, 30.0, 32.0]
-                    assert asked == [(0.0, None), (20.0, 1), (30.0, 2)]
+                    assert asked == [(0.0, None), (20.0, 1), (30.0, 2),
+                                     (60.0, past), (32.0, past)]
                     assert result.arrival_interval == [
                         locate_interval(division, a, policy)
                         for a in result.arrival
@@ -700,7 +705,7 @@ class TestSearchedExit:
                 assert result.arrival_interval[1] == 1
                 assert_tree_crossings(graph, table, strategy, result)
 
-    def test_searched_crossings_make_no_kernel_calls(self, monkeypatch):
+    def test_each_crossing_out_of_its_interval_is_one_kernel_call(self, monkeypatch):
         graph = fine_grid(random.Random(92), CONSTANT, STATIC)
         table = build_ael(graph)
         calls = []
@@ -710,19 +715,26 @@ class TestSearchedExit:
             calls.append(args)
             return kernel(*args)
 
+        def door(*args):
+            raise AssertionError("the engine called the single-arc door")
+
         monkeypatch.setattr(routing, "_cross", counted)
+        monkeypatch.setattr(routing, "_checked_cross", door)
+        queries = ((0, 0.0), (12, 1800.0), (24, 3600.0),
+                   (0, graph.division.horizon))
         stats = [
             shortest_paths(graph, table, source, departure, "fatt").stats
-            for source, departure in ((0, 0.0), (12, 1800.0), (24, 3600.0))
+            for source, departure in queries
         ]
-        assert calls == []
-        # The counters each of these crossings gave as a kernel call.
+        # Every relaxation here, inside the horizon and past it, leaves its
+        # departure interval: the distance the loop passes as covered there
+        # falls short of the arc. Each is one kernel call.
+        assert all(first < length for _, _, length, *_, first, _, _ in calls)
+        assert len(calls) == sum(s.traversal_calls for s in stats) == 160
+        # The counters of the three in-horizon queries.
         assert [(s.settled, s.traversal_calls, s.probes, s.steps)
-                for s in stats] == [(25, 40, 442, 0), (25, 40, 429, 0),
+                for s in stats[:3]] == [(25, 40, 442, 0), (25, 40, 429, 0),
                                     (25, 40, 423, 0)]
-        # The engine calls the wrapper: departing past the horizon, it counts.
-        shortest_paths(graph, table, 0, graph.division.horizon, "fatt")
-        assert len(calls) == 40
 
 
 ENGINE_DIGEST = "f032436f604252957006b56866e2430961be5f01d7d0d11cae25c48413059ccf"

@@ -36,11 +36,11 @@ from tdroute import (
 )
 from tdroute.model import speed_line
 from tdroute.traversal import (
+    _KINDS,
+    _cross,
     _linear_span,
     _prefix_row,
-    _searched,
     _travel_time,
-    _within_constant,
 )
 from support import (
     integrate_motion,
@@ -65,14 +65,17 @@ def constant_setup(rng, policy):
 
 
 def search_arrival(row, start, a, hi, counter):
-    """``_searched``'s arrival search over intervals ``start``..``hi`` as
+    """The kernel's arrival search over intervals ``start``..``hi`` as
     (interval j, distance consumed before j). The intervals last one second
-    each and the speed is 1 m/s, so the searched cost is j plus the
-    residual distance."""
+    each and the speed is 1 m/s. The crossing of ``a`` m departs at the end
+    of interval start - 1 under static, or for start 0 at the end of the
+    period under periodic, with nothing covered there; so the searched cost
+    is j - start plus the residual distance."""
     points = tuple(map(float, range(len(row) + 1)))
-    cost, stop = _searched(_within_constant, (1.0,) * len(row), row, points,
-                           start, 0.0, a, hi - start, counter)
-    return stop, a - (cost - stop)
+    k, policy = (start - 1, STATIC) if start else (len(row) - 1, PERIODIC)
+    cost, stop = _cross(_KINDS[CONSTANT], (1.0,) * len(row), a, row, points, policy,
+                        k, points[k + 1], 0.0, hi - start, counter)
+    return stop, a - (cost - (stop - start))
 
 
 class TestEffectiveLength:
