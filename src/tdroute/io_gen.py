@@ -46,10 +46,13 @@ from .model import (
 FORMAT_VERSION = "1"
 
 # Caps that keep `generate` and the one-arc bench under about 1 GB, as
-# MAX_NODES does a loaded graph. Either holds about 180 B per interval (a
-# float and its slot in the breakpoints, widths, speeds and prefix row), so
-# 2^22 intervals take 750 MB. `generate` and `save` need about 800 B per arc
-# (its objects, draw, adjacency slot and text) and 90 B per speed.
+# MAX_NODES does a loaded graph. Under tracemalloc the one-arc bench peaks
+# at about 130 B per interval: a float and its slot in the breakpoints and
+# widths (64 B), a double in the speeds and prefix row (16 B), and the
+# lists they are packed from. So 2^22 intervals take about 540 MB.
+# `generate` and `save` peak at about 660 B per arc (its objects, draw,
+# adjacency slot and text) and 65 B per speed; the size check below counts
+# 800 B and 90 B, so it errs high.
 MAX_INTERVALS = 2**22
 MAX_GENERATED_BYTES = 2**30
 

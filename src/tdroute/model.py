@@ -16,6 +16,7 @@ concurrent queries.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import sub
@@ -73,18 +74,24 @@ class TimeDivision:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Per-arc speeds: K values for "constant", K+1 for "linear"."""
+    """Per-arc speeds: K values for "constant", K+1 for "linear".
+
+    ``values`` is packed into one ``array('d')`` that the graph's engine
+    lists share; like a prefix row, it must not be edited in place. A
+    profile hashes as its kind and the tuple of its speeds.
+    """
 
     kind: str
-    values: tuple[float, ...]
+    values: array[float]
     # The slowest speed, which bounds every crossing's time from above.
     _slowest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        # Checked as floats, then packed: min and sum over the array would
+        # box every speed again.
         values = tuple(map(float, self.values))
-        object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("profile needs at least one speed")
         slowest = min(values)
@@ -94,7 +101,11 @@ class SpeedProfile:
             for v in values:
                 if not (math.isfinite(v) and v > 0.0):
                     raise ValueError("non-positive speed")
+        object.__setattr__(self, "values", array("d", values))
         object.__setattr__(self, "_slowest", slowest)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, tuple(self.values)))
 
     def expected_values(self, intervals: int) -> int:
         """How many speeds this kind needs for a K-interval division."""
@@ -132,7 +143,8 @@ class TdGraph:
     Arcs keep their construction order (so external arc indices stay
     stable); adjacency is grouped by source node for scanning. The routing
     engine's hot loop reads each arc's target, length and speeds from flat
-    per-arc lists indexed like ``arcs``, built once here. Each arc is
+    per-arc lists indexed like ``arcs``, built once here; the speeds entry
+    is the profile's own array, not a copy. Each arc is
     checked against the graph with :func:`check_arc` as it is grouped, so
     the first bad arc raises.
     """
@@ -147,7 +159,7 @@ class TdGraph:
     )
     _dst: list[int] = field(init=False, repr=False, compare=False)
     _length: list[float] = field(init=False, repr=False, compare=False)
-    _speeds: list[tuple[float, ...]] = field(init=False, repr=False, compare=False)
+    _speeds: list[array[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
@@ -198,19 +210,23 @@ def _check_node(node: int, nodes: int) -> None:
         raise ValueError(f"node id out of range: {node} (graph has {nodes} nodes)")
 
 
-def locate_interval(
-    division: TimeDivision,
-    t: float,
-    policy: str = STATIC,
-    hint: int | None = None,
-) -> int:
-    """Index k with tau_k <= t' < tau_{k+1} for the policy-mapped instant.
+def locate_interval(division: TimeDivision, t: float, policy: str = STATIC,
+                    hint: int | None = None) -> int:
+    """The interval of the instant that :func:`map_instant` maps ``t`` to."""
+    return map_instant(division, t, policy, hint)[1]
 
-    Instants at or past the horizon map to the last interval (static) or
-    wrap modulo T (periodic). A ``hint`` index is verified with a single
-    comparison pair and used when it still brackets the instant; a stale
-    hint silently falls back to binary search. NaN and inf raise
-    ValueError.
+
+def map_instant(division: TimeDivision, t: float, policy: str,
+                hint: int | None = None) -> tuple[float, int]:
+    """The instant t' whose speeds hold at ``t`` under the horizon policy,
+    and the k with tau_k <= t' < tau_{k+1} (the last k when t' is T).
+
+    The one statement of the policy: inside the horizon t' is t. At or past
+    it, t' is T under "static", which freezes the last measured speeds, and
+    ``t`` modulo T under "periodic". A ``hint`` index is verified with a
+    single comparison pair and used when it still brackets t'; a stale hint
+    falls back to binary search. NaN, inf and, past the horizon, an unknown
+    policy raise ValueError.
     """
     if not t >= 0.0:
         raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
@@ -220,14 +236,14 @@ def locate_interval(
         if t == math.inf:
             raise ValueError("time instant must be finite, got inf")
         if policy == STATIC:
-            return last
+            return points[-1], last
         if policy != PERIODIC:
             raise ValueError(f"unknown horizon policy {policy!r}")
         t = math.fmod(t, points[-1])
     if hint is not None and 0 <= hint <= last:
         if points[hint] <= t < points[hint + 1]:
-            return hint
-    return bisect_right(points, t) - 1
+            return t, hint
+    return t, bisect_right(points, t) - 1
 
 
 def check_arc(arc: Arc, nodes: int, kind: str, intervals: int, policy: str) -> None:
@@ -291,17 +307,15 @@ def profile_speed(
     profile: SpeedProfile, division: TimeDivision, policy: str, t: float
 ) -> float:
     """Speed of a single profile at instant ``t`` (policy extended)."""
-    k = locate_interval(division, t, policy)
+    t, k = map_instant(division, t, policy)
     if profile.kind == CONSTANT:
         return profile.values[k]
     points = division.breakpoints
-    if t >= points[-1]:
-        if policy == STATIC:
-            # Frozen continuation: the last measured speed holds after T.
-            return profile.values[-1]
-        t = math.fmod(t, points[-1])
     if t == points[k]:
         # Exact at breakpoints regardless of rounding in the coefficients.
         return profile.values[k]
+    if t == points[k + 1]:
+        # The horizon, under static: the last measured speed holds after T.
+        return profile.values[k + 1]
     slope, intercept = linear_coeffs(profile, division, k)
     return slope * t + intercept

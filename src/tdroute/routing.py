@@ -6,8 +6,10 @@ the speed model is FIFO (leaving later never arrives earlier), settling
 nodes in non-decreasing label order yields minimum arrival times.
 
 The loop reads only locals: the graph's adjacency, its flat per-arc
-target, length and speed lists (built once by :class:`TdGraph`), the
-breakpoints and the table's prefix rows and windows. No
+target and length lists and its list of speed arrays (built once by
+:class:`TdGraph`), the breakpoints and the table's prefix rows and
+windows. Speeds and rows are each one ``array('d')`` per arc, dense
+doubles that the loop indexes as it would a list. No
 ``TraversalResult`` is allocated per relaxation.
 
 The loop finishes a same-interval crossing; everything else is one call
@@ -19,11 +21,11 @@ the kernel's own test and cost, the kind's ``cover`` and ``within``,
 inlined for constant speeds and called for linear ones. Most crossings
 on realistic networks end so. Any other crossing, and every one from a
 label past the horizon, which departs from the instant the policy maps
-the label to, is one kernel call given k, that instant and the distance
-the test computed. The arrival keeps the kernel's interval ``stop`` when
-``points[stop] <= label + cost < points[stop+1]``; otherwise
-``locate_interval`` places it, as the single-arc door does. The strategy
-picks the procedure the kernel runs:
+the label to (``model.map_instant``), is one kernel call given k, that
+instant and the distance the test computed. The arrival keeps the
+kernel's interval ``stop`` when ``points[stop] <= label + cost <
+points[stop+1]``; otherwise ``locate_interval`` places it, as the
+single-arc door does. The strategy picks the procedure the kernel runs:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -82,11 +84,13 @@ without landmarks, use the label as the key: plain Dijkstra.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .landmarks import potential, targeting
-from .model import CONSTANT, LINEAR, STATIC, TdGraph, _check_node, locate_interval
+from .model import (CONSTANT, LINEAR, TdGraph, _check_node, locate_interval,
+                    map_instant)
 from .traversal import (
     _KINDS,
     AelTable,
@@ -220,7 +224,7 @@ def traverse_arc(
 
 def _check_strategy(
     graph: TdGraph, ael: AelTable | None, strategy: str
-) -> tuple[list[list[float]] | None, list[int] | None, list]:
+) -> tuple[list[array[float]] | None, list[int] | None, list]:
     """The kernel's per-arc prefix rows (None for a scan) and search windows
     (None unless windowed) under ``strategy``, and the table's landmark
     lists (empty without a table), once the strategy suits the graph and
@@ -330,8 +334,7 @@ def _run(
         # crossing goes to the kernel, from t, the instant label maps to
         # under the policy, which interval k holds.
         inside = label < horizon
-        t = (label if inside
-             else horizon if policy == STATIC else math.fmod(label, horizon))
+        t = label if inside else map_instant(division, label, policy, k)[0]
         for arc_index in adjacency[node]:
             dst = dsts[arc_index]
             if settled[dst]:
@@ -361,7 +364,7 @@ def _run(
                 cost, interval = _cross(
                     kind, speeds[arc_index], length,
                     None if rows is None else rows[arc_index],
-                    points, policy, k, t, first,
+                    division, policy, k, t, first,
                     None if windows is None else windows[arc_index],
                     stats,
                 )

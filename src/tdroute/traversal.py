@@ -51,11 +51,12 @@ counter when the caller passes none.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import mul, sub
-from typing import Callable
 
 from .landmarks import build_landmarks
 from .model import (
@@ -68,6 +69,7 @@ from .model import (
     TimeDivision,
     _check_profile,
     locate_interval,
+    map_instant,
     speed_line,
 )
 
@@ -105,13 +107,13 @@ class AelTable:
     from it to every node and from every node to it, which bound
     point-to-point queries from below (see :mod:`tdroute.landmarks`).
 
-    A table is a value: build it whole, with ``dataclasses.replace`` to add
-    a part, and do not edit its rows afterwards. Building it records the
-    length all rows share, so the route engine checks every row's length
-    in O(1) per query.
+    Each row is one ``array('d')``. A table is a value: build it whole,
+    with ``dataclasses.replace`` to add a part, and do not edit its rows
+    afterwards. Building it records the length all rows share, so the
+    route engine checks every row's length in O(1) per query.
     """
 
-    rows: list[list[float]]
+    rows: list[array[float]]
     window_bounds: list[int] = field(default_factory=list)
     landmarks: list[tuple[list[float], list[float]]] = field(default_factory=list)
     _row_length: int | None = field(init=False, repr=False, compare=False)
@@ -134,20 +136,25 @@ def build_ael(graph: TdGraph) -> AelTable:
     """Prefix-sum every arc's interval distances; O(mK) time and space.
 
     A constant-kind row is one ``accumulate`` of speed times interval
-    width. The window bounds and then the landmark distance lists, a few
-    static Dijkstra runs, are added by ``replace``, so no table is changed
-    once built. Raises ValueError naming the first arc whose prefix sums
-    cannot bound a search (see :func:`compute_q`).
+    width, packed with its window bound beside it. The landmark distance
+    lists, a few static Dijkstra runs, are added by ``replace``, so no
+    table is changed once built. Raises ValueError naming the first arc
+    whose prefix sums cannot bound a search (see :func:`compute_q`).
     """
     return replace(_prefix_table(graph), landmarks=build_landmarks(graph))
 
 
 def _prefix_table(graph: TdGraph) -> AelTable:
-    """:func:`build_ael` without the landmark lists."""
-    table = AelTable([_prefix_row(arc, graph.division) for arc in graph.arcs])
-    return replace(table, window_bounds=[
-        compute_q(arc, table, i) for i, arc in enumerate(graph.arcs)
-    ])
+    """:func:`build_ael` without the landmark lists. Each arc's window
+    bound is read off its list of sums before the list is packed into the
+    row: reading the packed row would box every entry again."""
+    rows, bounds = [], []
+    for index, arc in enumerate(graph.arcs):
+        sums = _prefix_sums(_KINDS[arc.profile.kind], arc.profile.values,
+                            graph.division)
+        bounds.append(_window_bound(arc, sums, index))
+        rows.append(array("d", sums))
+    return AelTable(rows, bounds)
 
 
 def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
@@ -159,7 +166,12 @@ def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     so little that length/Q overflows, or when the sums themselves
     overflow: the arrival search needs finite, strictly increasing rows.
     """
-    row = _row(ael, index)
+    return _window_bound(arc, _row(ael, index), index)
+
+
+def _window_bound(arc: Arc, row: Sequence[float], index: int) -> int:
+    """:func:`compute_q` for the prefix ``row`` of ``arc``, the table's
+    row ``index``."""
     if not row[-1] < math.inf:
         raise ValueError(f"arc {index} ({arc.src}->{arc.dst}): the distance it "
                          "covers by the horizon overflows")
@@ -279,7 +291,7 @@ def interp_piecewise_linear(
     return (f1 - f0) / (t1 - t0) * (tau - t0) + f0
 
 
-def _checked_cross(arc: Arc, row: list[float] | None, division: TimeDivision,
+def _checked_cross(arc: Arc, row: array[float] | None, division: TimeDivision,
                    kind: str, policy: str, tau: float, counter: OpCounter | None,
                    hint: int | None = None,
                    window: int | None = None) -> TraversalResult:
@@ -295,22 +307,15 @@ def _checked_cross(arc: Arc, row: list[float] | None, division: TimeDivision,
     if row is not None:
         _check_row_length(row, division.intervals)
     counter = OpCounter() if counter is None else counter
-    points = division.breakpoints
-    horizon = points[-1]
-    t = tau
-    if t >= horizon:
-        # Static speeds stay frozen past the horizon: a later departure
-        # costs what departing at the horizon does.
-        t = horizon if policy == STATIC else math.fmod(t, horizon)
-    k = locate_interval(division, t, policy, hint)
+    t, k = map_instant(division, tau, policy, hint)
     primitives, values = _KINDS[kind], arc.profile.values
-    first = primitives.cover(values, points, k, t)
-    cost, stop = _cross(primitives, values, arc.length, row, points, policy, k, t,
-                        first, window, counter)
+    first = primitives.cover(values, division.breakpoints, k, t)
+    cost, stop = _cross(primitives, values, arc.length, row, division, policy, k,
+                        t, first, window, counter)
     return TraversalResult(cost, locate_interval(division, tau + cost, policy, stop))
 
 
-def _row(ael: AelTable, index: int) -> list[float]:
+def _row(ael: AelTable, index: int) -> array[float]:
     """The table's prefix row at ``index``; a negative index is no row."""
     if not 0 <= index < len(ael.rows):
         raise ValueError(f"prefix table has no row at index {index}")
@@ -324,7 +329,7 @@ def _check_departure(tau: float) -> None:
         )
 
 
-def _check_row_length(row: list[float], intervals: int) -> None:
+def _check_row_length(row: Sequence[float], intervals: int) -> None:
     if len(row) != intervals:
         raise ValueError(
             f"prefix row has {len(row)} entries, division has {intervals} intervals"
@@ -333,10 +338,10 @@ def _check_row_length(row: list[float], intervals: int) -> None:
 
 def _cross(
     kind: _Kind,
-    values: tuple[float, ...],
+    values: array[float],
     length: float,
-    row: list[float] | None,
-    points: tuple[float, ...],
+    row: array[float] | None,
+    division: TimeDivision,
     policy: str,
     k: int,
     t: float,
@@ -348,8 +353,8 @@ def _cross(
     ``kind`` from ``t`` in interval ``k``, as (cost, interval ``stop`` where
     it ends in the period); only the search window is checked.
 
-    The arguments are the plain values that the route engine's flat per-arc
-    lists hold, so a crossing costs the engine no lookups. ``t`` lies inside
+    The arguments are the values that the route engine holds per query and
+    per arc, so a crossing costs the engine no lookups. ``t`` lies inside
     the horizon, mapped there by the policy when the departure does not,
     and ``first`` is the distance coverable from ``t`` to the end of
     interval ``k``. The scan (``row`` None) finds the arrival interval with
@@ -359,6 +364,7 @@ def _cross(
     arrival instant with ``stop`` as the hint, so a crossing that ends on a
     breakpoint or past the horizon still lands in the right interval.
     """
+    points = division.breakpoints
     if first >= length:
         return kind.within(values, points, k, t, length), k
     last = len(points) - 2
@@ -366,7 +372,7 @@ def _cross(
     # lead + points[stop] after t with rest still to cover.
     lead, rest = -t, length - first
     if row is None:
-        stop, rest = kind.walk(values, points, k + 1, last + 1, rest)
+        stop, rest = kind.walk(values, division, k + 1, last + 1, rest)
         counter.steps += min(stop, last) - k
     elif rest <= row[last] - row[k]:
         stop = k + 1
@@ -378,18 +384,13 @@ def _cross(
             # Static tail: the rest at the last measured speed.
             return (horizon - t) + rest / values[-1], last
         # Skip whole repeats of the pattern, then find the arrival in one period.
-        if row is None:
-            # The prefix row's last entry, summed as _prefix_row sums it
-            *_, total = accumulate(kind.cover(values, points, j, points[j])
-                                   for j in range(last + 1))
-        else:
-            total = row[last]
+        total = (_prefix_sums(kind, values, division) if row is None else row)[last]
         if not total > 0.0:
             raise ValueError("a period covers no distance")
         repeats, rest = divmod(rest, total)
         lead, stop = (horizon - t) + repeats * horizon, 0
         if row is None:
-            stop, rest = kind.walk(values, points, 0, last, rest)
+            stop, rest = kind.walk(values, division, 0, last, rest)
             # K steps for the total, then the walk's
             counter.steps += last + 1 + min(stop + 1, last)
     if row is not None:
@@ -420,21 +421,26 @@ def _cross(
     return (lead + at) + kind.within(values, points, stop, at, rest), stop
 
 
-def _prefix_row(arc: Arc, division: TimeDivision) -> list[float]:
+def _prefix_row(arc: Arc, division: TimeDivision) -> array[float]:
     """Distance covered on ``arc`` from tau_0 through the end of each
     interval: the arc's :class:`AelTable` row."""
-    cover = _KINDS[arc.profile.kind].cover
-    values = arc.profile.values
-    if cover is _cover_constant:
+    return array("d", _prefix_sums(_KINDS[arc.profile.kind], arc.profile.values,
+                                   division))
+
+
+def _prefix_sums(kind: _Kind, values: array[float],
+                 division: TimeDivision) -> list[float]:
+    """The prefix row of an arc with speed ``values`` of the ``kind``, as a
+    list (an array packs faster from a list than from an iterator)."""
+    if kind.cover is _cover_constant:
         # cover(values, points, k, points[k]) for every k, in bulk
         return list(accumulate(map(mul, values, division._widths)))
     points = division.breakpoints
-    return list(
-        accumulate(cover(values, points, k, points[k]) for k in range(len(points) - 1))
-    )
+    return list(accumulate(kind.cover(values, points, k, points[k])
+                           for k in range(len(points) - 1)))
 
 
-def _smallest_step(row: list[float]) -> float:
+def _smallest_step(row: Sequence[float]) -> float:
     """The least distance any one interval adds to the prefix ``row``."""
     return min(map(sub, row, (0.0, *row)))
 
@@ -446,7 +452,7 @@ class _Kind:
     ``cover(values, points, k, t)``: distance coverable from ``t`` to the
     end of interval ``k``. ``within(values, points, k, t, d)``: time to
     cover ``d`` departing at ``t`` inside interval ``k``. ``walk(values,
-    points, start, end, remaining)``: the first interval j in
+    division, start, end, remaining)``: the first interval j in
     [start, end) whose whole span holds ``remaining``, with the distance
     still left at its start, as (j, rest); (end, rest) when none does.
     Slotted, so the kernel reads a primitive in one cheap attribute load.
@@ -465,10 +471,12 @@ def _within_constant(values, points, k, t, d):
     return d / values[k]
 
 
-def _walk_constant(values, points, start, end, remaining):
+def _walk_constant(values, division, start, end, remaining):
+    widths = division._widths
     for j in range(start, end):
-        # _cover_constant(values, points, j, points[j]), inline
-        span = values[j] * (points[j + 1] - points[j])
+        # _cover_constant(values, points, j, points[j]), inline: the width
+        # is the same subtraction, made once per division
+        span = values[j] * widths[j]
         if span >= remaining:
             return j, remaining
         remaining -= span
@@ -485,7 +493,8 @@ def _within_linear(values, points, k, t, d):
     return _travel_time(slope, intercept, t, d)
 
 
-def _walk_linear(values, points, start, end, remaining):
+def _walk_linear(values, division, start, end, remaining):
+    points = division.breakpoints
     for j in range(start, end):
         span = _cover_linear(values, points, j, points[j])
         if span >= remaining:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from array import array
 
 import pytest
 
@@ -41,7 +42,7 @@ class TestLoad:
         graph = loads(DEMO_TEXT)
         assert graph == sample_graph()
         assert graph.arcs[0].length == 170.0
-        assert graph.arcs[0].profile.values == (10.0, 6.0, 8.0, 10.0)
+        assert tuple(graph.arcs[0].profile.values) == (10.0, 6.0, 8.0, 10.0)
         assert graph.division.breakpoints == (0.0, 10.0, 15.0, 30.0, 40.0)
 
     def test_empty_arc_list(self):
@@ -133,7 +134,7 @@ class TestRoundTrip:
         )
         again = loads(dumps(graph))
         assert again.arcs[0].length == math.pi
-        assert again.arcs[0].profile.values == (1 / 7, math.e)
+        assert tuple(again.arcs[0].profile.values) == (1 / 7, math.e)
         assert again.division.breakpoints == (0.0, 1 / 3, 2 / 3)
 
 
@@ -213,6 +214,27 @@ EXPECTED_DIAGNOSTIC = {
     "truncated": "missing arc line",
     "trailing": "trailing content",
 }
+
+
+class TestStorage:
+    """Speeds and prefix rows are dense doubles, one copy of each."""
+
+    @pytest.mark.parametrize("kind, policy", [(CONSTANT, STATIC), (LINEAR, PERIODIC)])
+    def test_one_array_per_arc_shared_with_the_engine(self, kind, policy):
+        generated = generate(GeneratorConfig(
+            nodes=8, avg_degree=2, intervals=6, horizon=100, speed_range=(1, 3),
+            length_range=(20, 400), kind=kind, policy=policy, seed=4,
+        ))
+        for graph in (loads(DEMO_TEXT), generated):
+            for i, arc in enumerate(graph.arcs):
+                values = graph._speeds[i]
+                assert values is arc.profile.values
+                assert isinstance(values, array) and values.typecode == "d"
+            rows = build_ael(graph).rows
+            assert len(rows) == graph.arc_count
+            for row in rows:
+                assert isinstance(row, array) and row.typecode == "d"
+            assert loads(dumps(graph)) == graph
 
 
 class TestDiagnostics:

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from tdroute import (
     sample_graph,
     speed_at,
 )
-from tdroute.model import MAX_NODES, check_arc
+from tdroute.model import MAX_NODES, check_arc, map_instant
 from support import brute_locate, random_division, random_profile
 
 DEMO_DIVISION = TimeDivision((0.0, 10.0, 15.0, 30.0, 40.0))
@@ -87,6 +88,44 @@ class TestLocateInterval:
             assert locate_interval(division, t) == brute_locate(division, t)
 
 
+class TestMapInstant:
+    def test_inside_the_horizon_an_instant_is_itself(self):
+        for policy in (STATIC, PERIODIC):
+            assert map_instant(DEMO_DIVISION, 0.0, policy) == (0.0, 0)
+            assert map_instant(DEMO_DIVISION, 31.5, policy) == (31.5, 3)
+
+    def test_static_freezes_at_the_horizon_in_the_last_interval(self):
+        for t in (40.0, 45.0, 1e9):
+            assert map_instant(DEMO_DIVISION, t, STATIC) == (40.0, 3)
+
+    def test_periodic_takes_the_instant_modulo_the_horizon(self):
+        assert map_instant(DEMO_DIVISION, 40.0, PERIODIC) == (0.0, 0)
+        assert map_instant(DEMO_DIVISION, 96.0, PERIODIC) == (16.0, 2)
+        t = 1e9 + 0.1
+        assert map_instant(DEMO_DIVISION, t, PERIODIC)[0] == math.fmod(t, 40.0)
+
+    def test_the_interval_holds_the_mapped_instant(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            division = random_division(rng)
+            points = division.breakpoints
+            t = rng.uniform(0.0, 3.0 * division.horizon)
+            for policy in (STATIC, PERIODIC):
+                mapped, k = map_instant(division, t, policy)
+                assert k == locate_interval(division, t, policy)
+                if mapped == division.horizon:
+                    assert (policy, k) == (STATIC, division.intervals - 1)
+                else:
+                    assert points[k] <= mapped < points[k + 1]
+
+    def test_bad_instants_and_policies_raise(self):
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                map_instant(DEMO_DIVISION, t, PERIODIC)
+        with pytest.raises(ValueError, match="unknown horizon policy 'weekly'"):
+            map_instant(DEMO_DIVISION, 45.0, "weekly")
+
+
 class TestSpeedProfileValidation:
     def test_rejects_non_positive_speed(self):
         with pytest.raises(ValueError):
@@ -107,8 +146,13 @@ class TestSpeedProfileValidation:
         with pytest.raises(ValueError, match="non-positive speed"):
             SpeedProfile(CONSTANT, speeds)
 
+    def test_speeds_are_packed_doubles(self):
+        values = SpeedProfile(CONSTANT, (10, "6.5", 8.0)).values
+        assert isinstance(values, array) and values.typecode == "d"
+        assert tuple(values) == (10.0, 6.5, 8.0)
+
     def test_accepts_finite_speeds_whose_sum_overflows(self):
-        assert SpeedProfile(CONSTANT, (1e308, 1e308)).values == (1e308, 1e308)
+        assert tuple(SpeedProfile(CONSTANT, (1e308, 1e308)).values) == (1e308, 1e308)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -117,6 +161,21 @@ class TestSpeedProfileValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SpeedProfile(CONSTANT, ())
+
+
+class TestHashing:
+    def test_a_profile_hashes_as_its_kind_and_speeds(self):
+        profile = SpeedProfile(CONSTANT, [10.0, 6.0])
+        assert hash(profile) == hash((CONSTANT, (10.0, 6.0)))
+        assert hash(profile) == hash(SpeedProfile(CONSTANT, (10, 6)))
+
+    def test_arcs_and_graphs_stay_hashable(self):
+        graph = sample_graph()
+        again = sample_graph()
+        assert graph is not again
+        assert hash(graph.arcs[0]) == hash(again.arcs[0])
+        assert {graph: 1}[again] == 1
+        assert len({graph, again, sample_graph(PERIODIC)}) == 2
 
 
 class TestArcValidation:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -176,7 +177,7 @@ class TestValidation:
         graph = sample_graph()
         table = build_ael(graph)
         for rows in ([row[:-1] for row in table.rows],
-                     [row + [row[-1] + 100.0] for row in table.rows]):
+                     [row + array("d", [row[-1] + 100.0]) for row in table.rows]):
             bad = AelTable(rows, table.window_bounds, table.landmarks)
             message = (f"prefix row has {len(rows[0])} entries, "
                        "division has 4 intervals")
@@ -196,7 +197,7 @@ class TestValidation:
         ))
         table = build_ael(graph)
         row = table.rows[-1]
-        for last in (row[:2], row + [row[-1] + 1.0]):
+        for last in (row[:2], row + array("d", [row[-1] + 1.0])):
             bad = AelTable(table.rows[:-1] + [last], table.window_bounds,
                            table.landmarks)
             message = (f"prefix row has {len(last)} entries, "
@@ -234,7 +235,7 @@ class TestValidation:
         cases += [
             (with_last_row(row[:2]), 6.0,
              "prefix row has 2 entries, division has 8 intervals"),
-            (with_last_row(row + [row[-1] + 1.0]), 6.0,
+            (with_last_row(row + array("d", [row[-1] + 1.0])), 6.0,
              "prefix row has 9 entries, division has 8 intervals"),
         ]
         for ael, tau, message in cases:
