@@ -10,10 +10,13 @@ families of procedures:
   interval at a time: O(K) per call. It is the reference the search is
   checked against.
 * the search (``fatt`` / ``bounded_fatt`` for constant speeds, ``l_fatt``
-  for linear ones) binary-searches the arrival interval over precomputed
-  per-arc prefix sums of the distance coverable in each interval (the
-  :class:`AelTable`): O(log K) per call, or O(log Q) when the search
-  window can be bounded.
+  for linear ones) finds the arrival interval in precomputed per-arc
+  prefix sums of the distance coverable in each interval (the
+  :class:`AelTable`) by interpolation, bounded by bisection's worst case
+  plus one: at most ceil(log2 K) + 2 probes per call, or
+  ceil(log2(Q + 1)) + 2 when the search window can be bounded. A prefix
+  row is a running sum of speed times width, close to linear, so the
+  expected count is O(log log K).
 
 A speed kind enters the kernel only through three primitives (a
 :class:`_Kind`): the distance coverable from an instant to the end of its
@@ -31,7 +34,7 @@ using the total distance coverable per period, then one in-period search
 (or walk) runs. Both keep the per-call complexity bounds intact.
 
 The kernel holds every exit of a crossing: the same interval, the
-search (the one bisection of a prefix row), the scan, the static tail
+search (the one search of a prefix row), the scan, the static tail
 and the periodic wrap. The five public procedures and
 ``routing.traverse_arc`` share one door, ``_checked_cross``: it checks
 the policy, the profile, the departure and the length of the prefix row
@@ -42,7 +45,8 @@ the kernel.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
-prefix table: the first-candidate check plus every bisection step).
+prefix table: the first-candidate check plus every interpolation or
+bisection step).
 Constant-time guards such as the horizon-boundary test and period
 skipping are not probes. The kernel always counts: the door supplies a
 counter when the caller passes none.
@@ -56,6 +60,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from math import floor
 from operator import mul, sub
 
 from .landmarks import build_landmarks
@@ -204,7 +209,8 @@ def fatt(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """Traversal time via binary search over prefix sums; O(log K)."""
+    """Traversal time via interpolation search over prefix sums, bounded
+    by bisection's worst case plus one; O(log K)."""
     return _checked_cross(arc, _row(ael, index), division, CONSTANT, policy, tau,
                           counter, hint)
 
@@ -264,7 +270,8 @@ def l_fatt(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """Binary-search traversal for linear-speed profiles; O(log K)."""
+    """Interpolation-search traversal for linear-speed profiles, bounded
+    by bisection's worst case plus one; O(log K)."""
     return _checked_cross(arc, _row(ael, index), division, LINEAR, policy, tau,
                           counter, hint)
 
@@ -358,11 +365,20 @@ def _cross(
     the horizon, mapped there by the policy when the departure does not,
     and ``first`` is the distance coverable from ``t`` to the end of
     interval ``k``. The scan (``row`` None) finds the arrival interval with
-    the kind's walk. The search bisects the prefix ``row``, confined to
-    ``window`` intervals unless None, and checks the first candidate first,
-    so a crossing that ends there costs one probe. The caller locates the
+    the kind's walk. The search interpolates in the prefix ``row``, bounded
+    by bisection's worst case plus one probe and confined to ``window``
+    intervals unless None, and checks the first candidate first, so a
+    crossing that ends there costs one probe. The caller locates the
     arrival instant with ``stop`` as the hint, so a crossing that ends on a
     breakpoint or past the horizon still lands in the right interval.
+
+    Ties: when the distance left equals a prefix entry exactly, the end of
+    interval j, both j (covered to its end) and j + 1 (entered with nothing
+    left) pass the search's accept test, and the first of the two that a
+    probe reaches wins; the first candidate, probed first, is the earlier.
+    Both put the arrival at the same breakpoint, with costs that agree to
+    rounding, and bit for bit when a span over its speed gives back the
+    interval's width, as integer spans do.
     """
     points = division.breakpoints
     if first >= length:
@@ -394,28 +410,46 @@ def _cross(
             # K steps for the total, then the walk's
             counter.steps += last + 1 + min(stop + 1, last)
     if row is not None:
-        # Bisect intervals stop..hi for the one that holds the end of rest.
+        # Search intervals stop..hi for the one that holds the end of rest.
         hi = last if window is None else min(stop + window, last)
         base = row[stop - 1] if stop else 0.0
-        # Checked once: with row increasing, this makes the bisection terminate.
-        if not (stop <= hi and rest <= row[hi] - base):
+        # Checked once: with row increasing, this makes the search terminate.
+        if not (stop <= hi and rest <= (high := row[hi] - base)):
             raise ValueError(
                 f"arrival search: {rest!r} m exceeds intervals {stop}..{hi}"
             )
         probes = 1
-        if rest > row[stop] - base:
+        low = row[stop] - base
+        if rest > low:
+            # Interpolation in lo..hi, where low = row[lo - 1] - base < rest
+            # <= high = row[hi] - base. Rows are finite, so a guess divides by
+            # a positive finite span, takes a fraction in (0, 1] of the n
+            # intervals and, clamped, lands in lo..hi: no NaN or inf arises.
+            # A probe guesses only while the probes left after it (spare)
+            # would still bisect the n intervals, n < 2**spare; each probe
+            # spends one, and a bisection halves n. So the loop ends within
+            # n.bit_length() + 1 probes, bisection's worst case plus one.
             lo = stop + 1
+            spare = (hi - lo + 1).bit_length()
+            probes += spare  # less the spare left at the end
             while True:
-                probes += 1
-                stop = (lo + hi) >> 1
+                n = hi - lo + 1
+                if n >> spare:
+                    stop = (lo + hi) >> 1
+                else:
+                    stop = lo + floor((rest - low) / (high - low) * n)
+                    if stop > hi:
+                        stop = hi
+                spare -= 1
                 before = row[stop - 1] - base
                 if rest < before:
-                    hi = stop - 1
-                elif rest > row[stop] - base:
+                    hi, high = stop - 1, before
+                elif rest > (low := row[stop] - base):
                     lo = stop + 1
                 else:
                     rest -= before
                     break
+            probes -= spare
         counter.probes += probes
     at = points[stop]
     return (lead + at) + kind.within(values, points, stop, at, rest), stop
