@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from heapq import heappop, heappush
-from operator import truediv
 
 from .model import TdGraph
 
@@ -39,6 +38,12 @@ Distances = list[float]
 Term = tuple[Distances, float, Distances, float]
 
 
+def arc_weights(graph: TdGraph) -> list[float]:
+    """Each arc's length over its top speed, the least time any crossing
+    of it takes, indexed like ``graph.arcs``."""
+    return [arc.length / arc.profile._fastest for arc in graph.arcs]
+
+
 def build_landmarks(graph: TdGraph) -> list[tuple[Distances, Distances]]:
     """``(away, back)`` static distance lists for ``min(LANDMARKS, n)``
     landmarks of ``graph``; unreachable nodes are at inf.
@@ -48,7 +53,7 @@ def build_landmarks(graph: TdGraph) -> list[tuple[Distances, Distances]]:
     as farthest, so other components get landmarks of their own).
     """
     n = graph.nodes
-    weights = list(map(truediv, graph._length, map(max, graph._speeds)))
+    weights = arc_weights(graph)
     incoming: list[list[int]] = [[] for _ in range(n)]
     for index, dst in enumerate(graph._dst):
         incoming[dst].append(index)

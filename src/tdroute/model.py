@@ -72,25 +72,28 @@ class TimeDivision:
         return self.breakpoints[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpeedProfile:
     """Per-arc speeds: K values for "constant", K+1 for "linear".
 
     ``values`` is packed into one ``array('d')`` that the graph's engine
     lists share; like a prefix row, it must not be edited in place. A
-    profile hashes as its kind and the tuple of its speeds.
+    profile hashes as its kind and the tuple of its speeds. Slotted: a
+    graph holds one profile per arc.
     """
 
     kind: str
     values: array[float]
-    # The slowest speed, which bounds every crossing's time from above.
+    # The slowest speed, which bounds every crossing's time from above, and
+    # the fastest, which bounds it from below.
     _slowest: float = field(init=False, repr=False, compare=False)
+    _fastest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        # Checked as floats, then packed: min and sum over the array would
-        # box every speed again.
+        # Checked as floats, then packed: min, max and sum over the array
+        # would box every speed again.
         values = tuple(map(float, self.values))
         if not values:
             raise ValueError("profile needs at least one speed")
@@ -103,6 +106,7 @@ class SpeedProfile:
                     raise ValueError("non-positive speed")
         object.__setattr__(self, "values", array("d", values))
         object.__setattr__(self, "_slowest", slowest)
+        object.__setattr__(self, "_fastest", max(values))
 
     def __hash__(self) -> int:
         return hash((self.kind, tuple(self.values)))

@@ -34,7 +34,13 @@ from tdroute import (
     traverse_arc,
 )
 from tdroute import routing
-from tdroute.landmarks import LANDMARKS, build_landmarks, potential, targeting
+from tdroute.landmarks import (
+    LANDMARKS,
+    arc_weights,
+    build_landmarks,
+    potential,
+    targeting,
+)
 from support import enumerate_arrivals, random_graph, random_profile
 
 
@@ -463,6 +469,17 @@ def departures(rng, horizon):
 
 
 class TestLandmarks:
+    def test_arcs_weigh_their_length_over_their_top_speed_bit_for_bit(self):
+        rng = random.Random(89)
+        for kind in (CONSTANT, LINEAR):
+            for policy in (STATIC, PERIODIC):
+                for _ in range(10):
+                    graph = random_graph(rng, kind=kind, policy=policy)
+                    want = [arc.length / max(tuple(arc.profile.values))
+                            for arc in graph.arcs]
+                    got = arc_weights(graph)
+                    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
     def test_lists_are_static_distances_from_farthest_first_landmarks(self):
         rng = random.Random(90)
         for _ in range(40):
