@@ -6,7 +6,7 @@ traversal crosses a sizable share of the K intervals, then runs the same
 departure instants through every requested strategy. Every query goes
 through :func:`routing.traverse_arc`. Operation counters are the primary
 evidence (deterministic, machine independent): sequential strategies report
-interval steps, binary-search strategies report probes. Wall time is
+interval steps, search strategies report probes. Wall time is
 secondary; ``wall_ns`` includes strategy, profile and table checks that the
 route engine makes once per query, not once per crossing.
 

@@ -31,10 +31,10 @@ single-arc door does. The strategy picks the procedure the kernel runs:
 strategy   procedure                                profile kind
 ========== ======================================== ================
 att        sequential interval scan                 constant
-fatt       prefix-sum binary search                 constant
-b-fatt     windowed binary search (per-arc bound)   constant
+fatt       prefix-sum search                        constant
+b-fatt     windowed search (per-arc bound)          constant
 att-linear sequential scan, closed-form finish      linear
-l-fatt     prefix-sum binary search, linear speeds  linear
+l-fatt     prefix-sum search, linear speeds         linear
 ========== ======================================== ================
 
 Each settled node remembers the interval its arrival lies in; that index

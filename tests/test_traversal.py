@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 
@@ -708,6 +709,52 @@ class TestSearchArrival:
             assert row[cursor - 1] - row[k] <= total <= row[cursor] - row[k] \
                 or math.isclose(total, row[cursor - 1] - row[k], rel_tol=1e-12) \
                 or math.isclose(total, row[cursor] - row[k], rel_tol=1e-12)
+
+
+class TestSearchBudget:
+    """Rows built against interpolation, whose guesses land far from the
+    end: each search still takes at most bisection's worst case plus one
+    probe, and finds the interval bisection finds."""
+
+    @staticmethod
+    def rows(k):
+        # 2 ** j, flattened past 1,000 intervals to keep the row finite, and
+        # its mirror, flattened past 40 to keep the last unit spans exact.
+        grow, shrink = min(1.0, 1000.0 / k), min(1.0, 40.0 / k)
+        shapes = {
+            "geometric": [2.0 ** (j * grow) for j in range(k)],
+            "shrinking": [2.0 ** ((k - j) * shrink) for j in range(k)],
+            "giant": [1e12 if j == k // 3 else 1.0 for j in range(k)],
+            "alternating": [1e6 if j % 2 else 1.0 for j in range(k)],
+            "equal": [1.0] * k,
+        }
+        return {name: list(accumulate(spans)) for name, spans in shapes.items()}
+
+    def test_every_target_within_bisections_worst_case_plus_one(self):
+        sizes = sorted({*range(2, 33), *(2**i + d for i in range(6, 13)
+                                         for d in (-1, 0, 1) if 2**i + d <= 4096)})
+        for k in sizes:
+            points = tuple(map(float, range(k + 1)))
+            division = TimeDivision(points)
+            speeds = (1.0,) * k
+            q = max(1, k // 3)
+            for name, row in self.rows(k).items():
+                packed = array("d", row)
+                for window, hi, budget in (
+                    (None, k - 1, math.ceil(math.log2(k)) + 2),
+                    (q, min(q, k - 1), math.ceil(math.log2(q + 1)) + 2),
+                ):
+                    for j in range(hi + 1):
+                        # Mid-span, so one interval holds the end. Departing
+                        # at the horizon under periodic, the search starts
+                        # at interval 0 with the whole length left.
+                        rest = ((row[j - 1] if j else 0.0) + row[j]) / 2.0
+                        counter = OpCounter()
+                        _, stop = _cross(_KINDS[CONSTANT], speeds, rest, packed,
+                                         division, PERIODIC, k - 1, points[-1],
+                                         0.0, window, counter)
+                        assert stop == bisect_left(row, rest) == j, (name, k, j)
+                        assert counter.probes <= budget, (name, k, window, j)
 
 
 class TestFifoProperty:
