@@ -375,10 +375,10 @@ def _cross(
     Ties: when the distance left equals a prefix entry exactly, the end of
     interval j, both j (covered to its end) and j + 1 (entered with nothing
     left) pass the search's accept test, and the first of the two that a
-    probe reaches wins; the first candidate, probed first, is the earlier.
-    Both put the arrival at the same breakpoint, with costs that agree to
-    rounding, and bit for bit when a span over its speed gives back the
-    interval's width, as integer spans do.
+    probe reaches wins; a tie at the first candidate goes to it, the
+    earlier one. Both put the arrival on the same breakpoint, with costs
+    that agree to rounding, and bit for bit when a span over its speed
+    gives back the interval's width, as integer spans do.
     """
     points = division.breakpoints
     if first >= length:
