@@ -5,6 +5,8 @@ No crossing of an arc is faster than its length at the arc's top speed,
 value, a linear one peaks at a breakpoint, and past the horizon both
 policies reuse the same values. Static shortest distances under these
 weights therefore bound every time-dependent travel time from below.
+The graph holds the one list of these least crossing times, which the
+routing engine also prunes relaxations by; :func:`arc_weights` returns it.
 
 A few landmarks L are picked farthest-first, and a static Dijkstra run
 from each, forward and over the reversed arcs, gives ``away[v] = d(L, v)``
@@ -29,7 +31,9 @@ LANDMARKS = 4
 
 # Every potential is shrunk by this factor, far more than the rounding in
 # the distance lists, so that keys grow along a path by more than rounding
-# takes back (:mod:`tdroute.routing` gives the argument and its limit).
+# takes back; the routing engine shrinks each least crossing time by it
+# before pruning by it (:mod:`tdroute.routing` gives both arguments and
+# their limits).
 SCALE = 1.0 - 1e-6
 
 Distances = list[float]
@@ -40,8 +44,9 @@ Term = tuple[Distances, float, Distances, float]
 
 def arc_weights(graph: TdGraph) -> list[float]:
     """Each arc's length over its top speed, the least time any crossing
-    of it takes, indexed like ``graph.arcs``."""
-    return [arc.length / arc.profile._fastest for arc in graph.arcs]
+    of it takes, indexed like ``graph.arcs``: the graph's own list, built
+    once with the graph, which must not be edited."""
+    return graph._least
 
 
 def build_landmarks(graph: TdGraph) -> list[tuple[Distances, Distances]]:

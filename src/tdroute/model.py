@@ -146,9 +146,12 @@ class TdGraph:
 
     Arcs keep their construction order (so external arc indices stay
     stable); adjacency is grouped by source node for scanning. The routing
-    engine's hot loop reads each arc's target, length and speeds from flat
-    per-arc lists indexed like ``arcs``, built once here; the speeds entry
-    is the profile's own array, not a copy. Each arc is
+    engine's hot loop reads each arc's target, length, speeds and least
+    crossing time from flat per-arc lists indexed like ``arcs``, built once
+    here; the speeds entry is the profile's own array, not a copy. The
+    least crossing time, ``length / top speed``, bounds every crossing of
+    the arc from below: the engine prunes by it and the landmarks weigh
+    arcs with it. Each arc is
     checked against the graph with :func:`check_arc` as it is grouped, so
     the first bad arc raises.
     """
@@ -164,6 +167,7 @@ class TdGraph:
     _dst: list[int] = field(init=False, repr=False, compare=False)
     _length: list[float] = field(init=False, repr=False, compare=False)
     _speeds: list[array[float]] = field(init=False, repr=False, compare=False)
+    _least: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
@@ -178,6 +182,7 @@ class TdGraph:
         # the engine reads then lie together in memory, not among the speeds.
         dst = [arc.dst + 0 for arc in arcs]
         length = [arc.length * 1.0 for arc in arcs]
+        least = [arc.length / arc.profile._fastest for arc in arcs]
         intervals = self.division.intervals
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
         for index, arc in enumerate(arcs):
@@ -189,6 +194,7 @@ class TdGraph:
         object.__setattr__(self, "_dst", dst)
         object.__setattr__(self, "_length", length)
         object.__setattr__(self, "_speeds", speeds)
+        object.__setattr__(self, "_least", least)
 
     @property
     def arc_count(self) -> int:

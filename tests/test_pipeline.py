@@ -7,8 +7,13 @@ to each target. Each step either answers or raises ValueError
 every strategy answers, their arrivals agree at rel 1e-9 and their arrival
 intervals match. A scan may answer where the search strategies reject the
 graph's prefix table.
+
+The same cases check the engine's pruning against a copy of each graph
+that prunes nothing: the answers are the same bits and every pruned
+relaxation is one crossing the copy computed.
 """
 
+import copy
 import math
 
 from hypothesis import example, given, settings
@@ -136,3 +141,80 @@ def test_adversarial_graphs_answer_or_raise_value_error(case):
         assert all(map(agree, to, other_to))
         assert intervals == other_intervals
     assert all(map(agree, arrivals, to))
+
+
+def unpruned(graph):
+    """A copy of ``graph`` whose least crossing times are all -inf, so that
+    the engine prunes no relaxation."""
+    plain = copy.copy(graph)
+    object.__setattr__(plain, "_least", [-math.inf] * graph.arc_count)
+    return plain
+
+
+def answer(query, *args):
+    """``query(*args)``, or None when it raises ValueError."""
+    try:
+        return query(*args)
+    except ValueError:
+        return None
+
+
+def tree_bits(result):
+    return ([a.hex() for a in result.arrival], result.predecessor,
+            result.arrival_interval)
+
+
+def compare_with_unpruned(case):
+    """How many relaxations the engine pruned over every query of ``case``,
+    once each answer it gives is checked against the unpruned copy's."""
+    kind, policy, widths, arcs, departure = case
+    try:
+        graph = build(kind, policy, widths, arcs)
+    except ValueError:
+        return 0
+    try:
+        table = build_ael(graph)
+    except ValueError:
+        table = None
+    plain = unpruned(graph)
+    pruned = 0
+    for strategy in STRATEGIES[kind]:
+        if table is None and strategy not in SCANS:
+            continue
+        for source in range(NODES):
+            queries = [(shortest_paths, source, departure, strategy)]
+            queries += [(shortest_path_to, source, target, departure, strategy)
+                        for target in range(NODES)]
+            for query, *args in queries:
+                want = answer(query, plain, table, *args)
+                if want is None:
+                    continue  # pruning may skip the crossing that raised
+                got = answer(query, graph, table, *args)
+                assert got is not None
+                if query is shortest_paths:
+                    assert tree_bits(got) == tree_bits(want)
+                else:
+                    assert got.path == want.path
+                    assert got.arrival.hex() == want.arrival.hex()
+                assert want.stats.pruned == 0
+                assert got.stats.settled == want.stats.settled
+                assert (got.stats.traversal_calls + got.stats.pruned
+                        == want.stats.traversal_calls)
+                pruned += got.stats.pruned
+    return pruned
+
+
+def test_pruning_gives_the_unpruned_answers_bit_for_bit():
+    pruned = []
+
+    @given(cases())
+    # The second arc's period covers no distance, which raises unless its
+    # relaxation is pruned behind the first arc's arrival at 0.0.
+    @example((CONSTANT, PERIODIC, [1e-300],
+              [(0, 1, 1e-300, [1e300]), (0, 1, 1e-300, [1e-300])], 0.0))
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def check(case):
+        pruned.append(compare_with_unpruned(case))
+
+    check()
+    assert sum(pruned) > 0

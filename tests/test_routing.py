@@ -27,6 +27,7 @@ from tdroute import (
     fatt,
     generate,
     l_fatt,
+    loads,
     locate_interval,
     sample_graph,
     shortest_path_to,
@@ -747,19 +748,68 @@ class TestSearchedExit:
         ]
         # Every relaxation here, inside the horizon and past it, leaves its
         # departure interval: the distance the loop passes as covered there
-        # falls short of the arc. Each is one kernel call.
+        # falls short of the arc. Each not pruned is one kernel call.
         assert all(first < length for _, _, length, *_, first, _, _ in calls)
-        assert len(calls) == sum(s.traversal_calls for s in stats) == 160
+        assert len(calls) == sum(s.traversal_calls for s in stats) == 128
         # The counters of the three in-horizon queries.
         assert [(s.settled, s.traversal_calls, s.probes, s.steps)
-                for s in stats[:3]] == [(25, 40, 215, 0), (25, 40, 273, 0),
-                                    (25, 40, 251, 0)]
+                for s in stats[:3]] == [(25, 33, 189, 0), (25, 34, 230, 0),
+                                    (25, 32, 196, 0)]
 
 
-ENGINE_DIGEST = "06e44b257672d3f809dd0f6fb27ddc931377f28b345159abd8b65a9ffabaeade"
+
+class TestPruning:
+    """The engine skips a crossing out of its departure interval when the
+    arc's least crossing time, shrunk by ``landmarks.SCALE``, cannot improve
+    the label it leads to."""
+
+    def test_the_margin_keeps_a_crossing_computed_below_its_least_time(self):
+        # At 5.5 m/s throughout, arc 1's 50.189 m compute an ulp below
+        # 50.189 / 5.5, and arc 0, an ulp longer and relaxed first, arrives
+        # exactly at 50.189 / 5.5. Pruned by the unshrunk bound, arc 1
+        # would leave node 1 an ulp late.
+        division = TimeDivision((0.0, 8.0, 10.0))
+        profile = SpeedProfile(CONSTANT, (5.5, 5.5))
+        best = float.fromhex("0x1.24023bf356f26p+3")
+        assert best < 50.189 / 5.5
+        for policy in (STATIC, PERIODIC):
+            graph = TdGraph(2, division, policy, CONSTANT, (
+                Arc(0, 1, 50.18900000000001, profile), Arc(0, 1, 50.189, profile),
+            ))
+            table = build_ael(graph)
+            assert graph._least[0] == 50.189 / 5.5
+            for strategy in strategies_for(CONSTANT):
+                result = shortest_paths(graph, table, 0, 0.0, strategy)
+                assert result.arrival[1] == best
+                assert (result.stats.traversal_calls, result.stats.pruned) == (2, 0)
+                assert shortest_path_to(graph, table, 0, 1, 0.0, strategy).arrival == best
+
+    def test_a_degenerate_arc_behind_a_better_label_is_pruned(self):
+        # The second arc's period covers 1e-300 m/s * 1e-300 s, which
+        # underflows to 0: its crossing raises. But no crossing of it takes
+        # less than 1 s, so once the first arc has put node 1 at 0.0, the
+        # engine skips it and answers.
+        text = (
+            "tdgraph 1 constant periodic\ndivision 1 0 1e-300\nnodes 2\narcs 2\n"
+            "arc 0 1 1e-300 1e+300\narc 0 1 1e-300 1e-300\n"
+        )
+        graph = loads(text)
+        result = shortest_paths(graph, None, 0, 0.0, "att")
+        assert result.arrival == [0.0, 0.0]
+        assert result.predecessor == [None, 0]
+        assert (result.stats.traversal_calls, result.stats.pruned) == (1, 1)
+        # Whether such an arc raises still depends on the order the engine
+        # relaxes arcs in: first, it finds no label to prune against.
+        swapped = TdGraph(2, graph.division, graph.policy, graph.kind,
+                          graph.arcs[::-1])
+        with pytest.raises(ValueError, match="a period covers no distance"):
+            shortest_paths(swapped, None, 0, 0.0, "att")
+
+
+ENGINE_DIGEST = "1f6c408c5926cb5ff70a15f1d9add4fb7499aa247b43edd6fd8b578a646124c8"
 # The same corpus without the point-to-point stats: every one-to-all result,
 # every arc traversal and every point-to-point path and arrival.
-ANSWER_DIGEST = "0f3968d176a46506c2ab3fbd0c321fc4ef30c856946eacc3f3c4296b723221ea"
+ANSWER_DIGEST = "718e81f130899cc4a8863823543dbce13b99b2353dc85e48b86ada64b7d1c14b"
 # The same corpus with every counter left out: the answers alone.
 COUNTER_FREE_DIGEST = "d62e22ad42cef347386ddc40869dd5e53dcd90be82f03b96cd2a402cb8bef1aa"
 
