@@ -5,8 +5,9 @@ No crossing of an arc is faster than its length at the arc's top speed,
 value, a linear one peaks at a breakpoint, and past the horizon both
 policies reuse the same values. Static shortest distances under these
 weights therefore bound every time-dependent travel time from below.
-The graph holds the one list of these least crossing times, which the
-routing engine also prunes relaxations by; :func:`arc_weights` returns it.
+The graph holds the one list of these least crossing times,
+``TdGraph._least``, which the landmark runs weigh arcs with and the
+routing engine prunes relaxations by.
 
 A few landmarks L are picked farthest-first, and a static Dijkstra run
 from each, forward and over the reversed arcs, gives ``away[v] = d(L, v)``
@@ -42,13 +43,6 @@ Distances = list[float]
 Term = tuple[Distances, float, Distances, float]
 
 
-def arc_weights(graph: TdGraph) -> list[float]:
-    """Each arc's length over its top speed, the least time any crossing
-    of it takes, indexed like ``graph.arcs``: the graph's own list, built
-    once with the graph, which must not be edited."""
-    return graph._least
-
-
 def build_landmarks(graph: TdGraph) -> list[tuple[Distances, Distances]]:
     """``(away, back)`` static distance lists for ``min(LANDMARKS, n)``
     landmarks of ``graph``; unreachable nodes are at inf.
@@ -58,7 +52,7 @@ def build_landmarks(graph: TdGraph) -> list[tuple[Distances, Distances]]:
     as farthest, so other components get landmarks of their own).
     """
     n = graph.nodes
-    weights = arc_weights(graph)
+    weights = graph._least
     incoming: list[list[int]] = [[] for _ in range(n)]
     for index, dst in enumerate(graph._dst):
         incoming[dst].append(index)

@@ -150,10 +150,10 @@ class TdGraph:
     crossing time from flat per-arc lists indexed like ``arcs``, built once
     here; the speeds entry is the profile's own array, not a copy. The
     least crossing time, ``length / top speed``, bounds every crossing of
-    the arc from below: the engine prunes by it and the landmarks weigh
-    arcs with it. Each arc is
-    checked against the graph with :func:`check_arc` as it is grouped, so
-    the first bad arc raises.
+    the arc from below. ``_least`` is the one list of it: the engine prunes
+    by it and the landmarks weigh arcs with it, and neither edits it. Each
+    arc is checked against the graph with :func:`check_arc` as it is
+    grouped, so the first bad arc raises.
     """
 
     nodes: int

@@ -13,19 +13,21 @@ arc, dense doubles that the loop indexes as it would a list. No
 ``TraversalResult`` is allocated per relaxation.
 
 The loop finishes a same-interval crossing; everything else is one call
-to the crossing kernel ``traversal._cross``. For a node settled at
-``label`` inside the horizon, in interval k, an arc relaxes at cost
-``length / values[k]`` with arrival interval k when ``values[k] *
-(points[k+1] - label) >= length`` and ``label + cost < points[k+1]``:
-the kernel's own test and cost, the kind's ``cover`` and ``within``,
-inlined for constant speeds and called for linear ones. Most crossings
-on realistic networks end so. Any other crossing, and every one from a
-label past the horizon, which departs from the instant the policy maps
-the label to (``model.map_instant``), is one kernel call given k, that
-instant and the distance the test computed, or none when the arc's
-least crossing time rules the crossing out (Pruned, below). The arrival
-keeps the kernel's interval ``stop`` when ``points[stop] <= label + cost
-< points[stop+1]``; otherwise ``locate_interval`` places it, as the
+to the crossing kernel ``traversal._cross``. A node settled at ``label``
+in interval k gives the departure instant t, the label itself inside the
+horizon and past it the instant the policy maps the label to
+(``model.map_instant``), and ``room = points[k+1] - t``. Each relaxation
+computes ``first``, the distance coverable from t to the end of interval
+k, with the kind's ``cover``: ``values[k] * room`` inline for constant
+speeds. When ``first >= length`` the cost is the kind's ``within``
+(``length / values[k]`` inline), and the crossing ends in interval k
+when ``label + cost < points[k+1]``: the kernel's own test and cost.
+Most crossings on realistic networks end so; none from a label past the
+horizon does, as there ``points[k+1] <= label``. Any other crossing is
+one kernel call given k, t and ``first``, or none when the arc's least
+crossing time rules the crossing out (Pruned, below). The arrival keeps
+the kernel's interval ``stop`` when ``points[stop] <= label + cost <
+points[stop+1]``; otherwise ``locate_interval`` places it, as the
 single-arc door does. The strategy picks the procedure the kernel runs:
 
 ========== ======================================== ================
@@ -367,31 +369,30 @@ def _run(
             break
         k = hint[node]
         end = points[k + 1]
-        room = end - label
-        # Inside the horizon points[k] <= label < end. Past it every
-        # crossing goes to the kernel, from t, the instant label maps to
-        # under the policy, which interval k holds.
-        inside = label < horizon
-        t = label if inside else map_instant(division, label, policy, k)[0]
+        # Crossings depart from t, the instant label maps to under the
+        # policy, which interval k holds: label itself inside the horizon.
+        t = label if label < horizon else map_instant(division, label, policy, k)[0]
+        room = end - t
         for arc_index in adjacency[node]:
             dst = dsts[arc_index]
             if settled[dst]:
                 continue
             calls += 1
-            cost = inf  # until the same-interval exit applies
-            if inside:
-                length = lengths[arc_index]
-                if constant:
-                    # _cover_constant(values, points, k, label) >= length, then
-                    # _within_constant(values, points, k, label, length), inline
-                    speed = speeds[arc_index][k]
-                    first = speed * room
-                    if first >= length:
-                        cost = length / speed
-                elif (first := cover(speeds[arc_index], points, k, label)) >= length:
-                    cost = within(speeds[arc_index], points, k, label, length)
-            if label + cost < end:
-                # _cross's same-interval exit, arriving before the interval ends.
+            length = lengths[arc_index]
+            values = speeds[arc_index]
+            # The distance coverable in interval k; _cover_constant inline
+            first = ((speed := values[k]) * room if constant
+                     else cover(values, points, k, t))
+            if first < length:
+                cost = inf  # the crossing does not end in interval k
+            elif constant:
+                cost = length / speed  # _within_constant, inline
+            else:
+                cost = within(values, points, k, t, length)
+            candidate = label + cost
+            if candidate < end:
+                # _cross's same-interval exit, arriving before the interval
+                # ends. Past the horizon end <= label, so it never applies.
                 interval = k
             else:
                 # No crossing of the arc beats its least crossing time, so
@@ -399,23 +400,19 @@ def _run(
                 if label + least[arc_index] * scale >= arrival[dst]:
                     pruned += 1
                     continue
-                if not inside:
-                    length = lengths[arc_index]
-                    first = cover(speeds[arc_index], points, k, t)
                 # One kernel call, given the distance first coverable in
                 # interval k. The stats serve as its counter.
                 cost, interval = _cross(
-                    kind, speeds[arc_index], length,
+                    kind, values, length,
                     None if rows is None else rows[arc_index],
                     division, policy, k, t, first,
                     None if windows is None else windows[arc_index],
                     stats,
                 )
-                arrive = label + cost
+                candidate = label + cost
                 # The door's locate_interval call, inline while the hint holds
-                if not points[interval] <= arrive < points[interval + 1]:
-                    interval = locate_interval(division, arrive, policy, interval)
-            candidate = label + cost
+                if not points[interval] <= candidate < points[interval + 1]:
+                    interval = locate_interval(division, candidate, policy, interval)
             if candidate < arrival[dst]:
                 arrival[dst] = candidate
                 predecessor[dst] = node

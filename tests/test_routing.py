@@ -37,7 +37,6 @@ from tdroute import (
 from tdroute import routing
 from tdroute.landmarks import (
     LANDMARKS,
-    arc_weights,
     build_landmarks,
     potential,
     targeting,
@@ -478,7 +477,7 @@ class TestLandmarks:
                     graph = random_graph(rng, kind=kind, policy=policy)
                     want = [arc.length / max(tuple(arc.profile.values))
                             for arc in graph.arcs]
-                    got = arc_weights(graph)
+                    got = graph._least
                     assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_lists_are_static_distances_from_farthest_first_landmarks(self):
@@ -804,6 +803,26 @@ class TestPruning:
                           graph.arcs[::-1])
         with pytest.raises(ValueError, match="a period covers no distance"):
             shortest_paths(swapped, None, 0, 0.0, "att")
+
+    def test_a_label_past_the_horizon_reaches_the_prune_test(self):
+        # From 15.0, past the horizon 10.0, crossings depart from the mapped
+        # instant 5.0 and end within its interval 0, yet never take the
+        # same-interval exit: that interval ends before the label. Node 1
+        # settles at 15.1, and its 1 s crossing cannot beat node 2's 15.1.
+        for kind in (CONSTANT, LINEAR):
+            fast, slow = ("10", "1") if kind == CONSTANT else ("10 10", "1 1")
+            graph = loads(
+                f"tdgraph 1 {kind} periodic\ndivision 1 0 10\nnodes 3\narcs 3\n"
+                f"arc 0 1 1 {fast}\narc 0 2 1 {fast}\narc 1 2 1 {slow}\n"
+            )
+            table = build_ael(graph)
+            for strategy in strategies_for(kind):
+                result = shortest_paths(graph, table, 0, 15.0, strategy)
+                assert result.arrival == [15.0, 15.1, 15.1]
+                assert result.arrival_interval == [0, 0, 0]
+                stats = result.stats
+                assert (stats.settled, stats.traversal_calls, stats.pruned) == (3, 2, 1)
+                assert_tree_crossings(graph, table, strategy, result)
 
 
 ENGINE_DIGEST = "1f6c408c5926cb5ff70a15f1d9add4fb7499aa247b43edd6fd8b578a646124c8"
