@@ -23,7 +23,8 @@ speeds. When ``first >= length`` the cost is the kind's ``within``
 (``length / values[k]`` inline), and the crossing ends in interval k
 when ``label + cost < points[k+1]``: the kernel's own test and cost.
 Most crossings on realistic networks end so; none from a label past the
-horizon does, as there ``points[k+1] <= label``. Any other crossing is
+horizon does, as there ``points[k+1] <= label``, and there the loop
+leaves a linear arc's ``within`` to the kernel. Any other crossing is
 one kernel call given k, t and ``first``, or none when the arc's least
 crossing time rules the crossing out (Pruned, below). The arrival keeps
 the kernel's interval ``stop`` when ``points[stop] <= label + cost <
@@ -383,12 +384,15 @@ def _run(
             # The distance coverable in interval k; _cover_constant inline
             first = ((speed := values[k]) * room if constant
                      else cover(values, points, k, t))
-            if first < length:
+            # The kernel's own test, so that a NaN first reaches the kernel
+            if not first >= length:
                 cost = inf  # the crossing does not end in interval k
             elif constant:
                 cost = length / speed  # _within_constant, inline
             else:
-                cost = within(values, points, k, t, length)
+                # Past the horizon end <= label: the exit cannot apply, and
+                # the kernel computes within itself.
+                cost = within(values, points, k, t, length) if label < end else inf
             candidate = label + cost
             if candidate < end:
                 # _cross's same-interval exit, arriving before the interval

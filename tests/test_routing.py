@@ -755,6 +755,20 @@ class TestSearchedExit:
                 for s in stats[:3]] == [(25, 33, 189, 0), (25, 34, 230, 0),
                                     (25, 32, 196, 0)]
 
+    def test_a_distance_that_is_nan_reaches_the_kernel(self):
+        # A flat linear arc over one 1e200 s interval: its slope 0 times the
+        # interval's square, inf, makes the distance first coverable in
+        # interval 0 NaN. The loop hands it to the kernel, as the single-arc
+        # door does, and both raise instead of taking the same-interval exit.
+        graph = loads(
+            "tdgraph 1 linear static\ndivision 1 0 1e200\nnodes 2\narcs 1\n"
+            "arc 0 1 1 10 10\n"
+        )
+        for query in (lambda: shortest_paths(graph, None, 0, 0.0, "att-linear"),
+                      lambda: shortest_path_to(graph, None, 0, 1, 0.0, "att-linear"),
+                      lambda: traverse_arc(graph, None, 0, 0.0, "att-linear")):
+            with pytest.raises(ValueError, match="non-negative, got nan"):
+                query()
 
 
 class TestPruning:
