@@ -23,9 +23,9 @@ import time
 from dataclasses import dataclass, replace
 
 from .io_gen import MAX_INTERVALS, _random_profile
-from .model import STATIC, Arc, TdGraph, TimeDivision
+from .model import STATIC, Arc, TdGraph, TimeDivision, _prefix_sums, _smallest_step
 from .routing import _PLANS, STRATEGIES, traverse_arc
-from .traversal import OpCounter, _prefix_row, _prefix_table, _smallest_step
+from .traversal import OpCounter, _prefix_table
 
 CSV_HEADER = "strategy,K,n,m,Q,queries,probes,wall_ns"
 
@@ -119,7 +119,7 @@ def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
     profile = _random_profile(rng, kind, config.policy, _SPEED_RANGE, k_intervals)
 
     # The arc's prefix row does not depend on its length.
-    row = _prefix_row(Arc(0, 1, 1.0, profile), division)
+    row = _prefix_sums(profile.values, division)
     length = config.span * row[-1]
     if config.window is not None:
         # Shrink the arc until the requested uniform window is valid; like

@@ -11,7 +11,10 @@ File format (UTF-8 text, '#' starts a comment, blank lines ignored)::
 
 Numbers are written with 17 significant digits ('.' decimal separator),
 which round-trips doubles exactly: load(save(g)) == g and a second save
-is byte-identical to the first.
+is byte-identical to the first. An arc is refused, with its line number,
+when it takes no finite time at its slowest speed, and when it breaks the
+coverage rule (``model.check_arc``): each interval adds distance to its
+prefix row, and the row's total and length / least step are finite.
 
 Random generation is driven by :class:`random.Random` (the Mersenne
 Twister MT19937), so a seed fully determines the output.
@@ -208,7 +211,7 @@ def _parse(lines: Iterable[str]) -> tuple[TdGraph | None, list[GraphFormatError]
     for _ in range(arc_count):
         try:
             number, tokens = take("arc")
-            arcs.append(_parse_arc(tokens, number, kind, policy, nodes, intervals))
+            arcs.append(_parse_arc(tokens, number, kind, policy, nodes, division))
         except GraphFormatError as error:
             errors.append(error)
             if ahead is None:
@@ -220,14 +223,8 @@ def _parse(lines: Iterable[str]) -> tuple[TdGraph | None, list[GraphFormatError]
     return TdGraph(nodes, division, policy, kind, tuple(arcs)), errors
 
 
-def _parse_arc(
-    tokens: list[str],
-    number: int,
-    kind: str,
-    policy: str,
-    nodes: int,
-    intervals: int,
-) -> Arc:
+def _parse_arc(tokens: list[str], number: int, kind: str, policy: str, nodes: int,
+               division: TimeDivision) -> Arc:
     if len(tokens) < 4 or tokens[0] != "arc":
         raise GraphFormatError("malformed arc line", number)
     src = _parse_int(tokens[1], number)
@@ -237,7 +234,7 @@ def _parse_arc(
     try:
         # The profile converts the speed tokens in one pass.
         arc = Arc(src, dst, length, SpeedProfile(kind, speeds))
-        check_arc(arc, nodes, kind, intervals, policy)
+        check_arc(arc, nodes, kind, division, policy)
     except ValueError as error:
         for token in speeds:
             _parse_float(token, number)  # a bad token is named first

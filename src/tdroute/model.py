@@ -16,10 +16,13 @@ concurrent queries.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import sub
+from itertools import accumulate
+from operator import mul, sub
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -44,8 +47,9 @@ class TimeDivision:
     """Breakpoints 0 = tau_0 < tau_1 < ... < tau_K = T, in seconds."""
 
     breakpoints: tuple[float, ...]
-    # tau_{k+1} - tau_k per interval, for building prefix rows in bulk.
+    # The widths tau_{k+1} - tau_k, for prefix rows in bulk, and the least.
     _widths: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _narrowest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = tuple(float(b) for b in self.breakpoints)
@@ -60,6 +64,7 @@ class TimeDivision:
             if not left < right:
                 raise ValueError("non-increasing breakpoints")
         object.__setattr__(self, "_widths", tuple(map(sub, points[1:], points)))
+        object.__setattr__(self, "_narrowest", min(self._widths))
 
     @property
     def intervals(self) -> int:
@@ -183,10 +188,9 @@ class TdGraph:
         dst = [arc.dst + 0 for arc in arcs]
         length = [arc.length * 1.0 for arc in arcs]
         least = [arc.length / arc.profile._fastest for arc in arcs]
-        intervals = self.division.intervals
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
         for index, arc in enumerate(arcs):
-            check_arc(arc, self.nodes, self.kind, intervals, self.policy)
+            check_arc(arc, self.nodes, self.kind, self.division, self.policy)
             outgoing[arc.src].append(index)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
@@ -235,16 +239,16 @@ def map_instant(division: TimeDivision, t: float, policy: str,
     it, t' is T under "static", which freezes the last measured speeds, and
     ``t`` modulo T under "periodic". A ``hint`` index is verified with a
     single comparison pair and used when it still brackets t'; a stale hint
-    falls back to binary search. NaN, inf and, past the horizon, an unknown
-    policy raise ValueError.
+    falls back to binary search. NaN, inf, an int past every float and,
+    past the horizon, an unknown policy raise ValueError.
     """
     if not t >= 0.0:
         raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
     points = division.breakpoints
     last = len(points) - 2
     if t >= points[-1]:
-        if t == math.inf:
-            raise ValueError("time instant must be finite, got inf")
+        if t > sys.float_info.max:  # inf, or an int past every float
+            raise ValueError(f"time instant must be finite, got {t!r}")
         if policy == STATIC:
             return points[-1], last
         if policy != PERIODIC:
@@ -256,39 +260,61 @@ def map_instant(division: TimeDivision, t: float, policy: str,
     return t, bisect_right(points, t) - 1
 
 
-def check_arc(arc: Arc, nodes: int, kind: str, intervals: int, policy: str) -> None:
+def check_arc(arc: Arc, nodes: int, kind: str, division: TimeDivision,
+              policy: str) -> None:
     """Raise ValueError unless ``arc`` fits a graph of ``nodes`` nodes and
-    ``kind`` profiles over ``intervals`` intervals under the ``policy``.
+    ``kind`` profiles over the ``division`` under the ``policy``.
 
-    These are the arc invariants that need the graph; :class:`Arc` and
-    :class:`SpeedProfile` check the rest on construction.
+    These are the arc invariants that need the graph, the coverage rule
+    among them; :class:`Arc` and :class:`SpeedProfile` check the rest.
     """
     if arc.src >= nodes or arc.dst >= nodes:
         raise ValueError("node id out of range")
-    _check_profile(arc.profile, kind, intervals, policy)
+    _check_profile(arc, kind, division, policy)
 
 
-def _check_profile(
-    profile: SpeedProfile, kind: str, intervals: int, policy: str
-) -> None:
-    """The profile half of :func:`check_arc`: its kind, its speed count and,
-    when linear under the periodic policy, its seam."""
+def _check_profile(arc: Arc, kind: str, division: TimeDivision, policy: str) -> None:
+    """The half of :func:`check_arc` that needs no node count: the profile's
+    kind, its speed count, when linear under the periodic policy its seam,
+    and the coverage rule the searches need: every interval adds distance to
+    the arc's prefix row, whose total and window bound are finite."""
+    profile = arc.profile
     if profile.kind != kind:
         raise ValueError(f"expected a {kind} profile, got {profile.kind}")
     values = profile.values
-    expected = profile.expected_values(intervals)
+    expected = profile.expected_values(division.intervals)
     if len(values) != expected:
-        raise ValueError(
-            f"speed count mismatch: expected {expected}, got {len(values)}"
-        )
-    if (
-        policy == PERIODIC
-        and profile.kind == LINEAR
-        and abs(values[0] - values[-1]) > SEAM_TOLERANCE
-    ):
-        raise ValueError(
-            "periodic linear profile must begin and end at the same speed"
-        )
+        raise ValueError(f"speed count mismatch: expected {expected}, got {len(values)}")
+    if (policy == PERIODIC and profile.kind == LINEAR
+            and abs(values[0] - values[-1]) > SEAM_TOLERANCE):
+        raise ValueError("periodic linear profile must begin and end at the same speed")
+    if not _clears_coverage(profile, arc.length, division):
+        _window_bound(arc.length, _prefix_sums(values, division))
+
+
+def _clears_coverage(profile: SpeedProfile, length: float,
+                     division: TimeDivision) -> bool:
+    """Whether an O(1) bound proves the coverage rule for the arc.
+
+    Each span is at least low = slowest speed x narrowest width, and each
+    prefix entry at most high = fastest speed x horizon T, to K ulps. With
+    low >= 2^-40 high, rounding takes at most an ulp of high, 2^-13 of low,
+    from a step; high and length / low below 2^1000 keep the row's total and
+    the window bound finite. ``_linear_span`` rounds to a few ulps of
+    |slope| T^2 <= high T / narrowest: a linear high takes that factor, and
+    the margin leaves 2^13 ulps of it. T < 2^500 and fastest / narrowest <
+    2^1000 keep T^2 and the slope finite; low > 2^-50 dwarfs underflow
+    (2^-1075 times either)."""
+    narrowest, horizon = division._narrowest, division.breakpoints[-1]
+    low = profile._slowest * narrowest
+    high = profile._fastest * horizon
+    if profile.kind == LINEAR:
+        if not (horizon < 2.0**500 and profile._fastest / narrowest < 2.0**1000
+                and low > 2.0**-50):
+            return False
+        high *= max(1.0, horizon / narrowest)
+    return (0.0 < low and high < 2.0**1000 and high * 2.0**-40 <= low
+            and length / low < 2.0**1000)
 
 
 def linear_coeffs(
@@ -306,6 +332,41 @@ def speed_line(
     v0, v1 = values[k], values[k + 1]
     span = t1 - t0
     return (v1 - v0) / span, (v0 * t1 - v1 * t0) / span
+
+
+def _linear_span(slope: float, intercept: float, t0: float, t1: float) -> float:
+    """Distance covered between t0 and t1 under speed slope*t+intercept."""
+    return slope * (t1 * t1 - t0 * t0) * 0.5 + intercept * (t1 - t0)
+
+
+def _prefix_sums(values: array[float], division: TimeDivision) -> list[float]:
+    """The prefix row of an arc with speed ``values`` (K constant, K + 1
+    linear), as a list, which packs fast: the one sum of the spans, so the
+    rule, the table and the scan's period total read the same bits."""
+    if len(values) == len(division._widths):
+        return list(accumulate(map(mul, values, division._widths)))
+    points = division.breakpoints
+    return list(accumulate(
+        _linear_span(*speed_line(values, points, k), points[k], points[k + 1])
+        for k in range(len(points) - 1)))
+
+
+def _window_bound(length: float, row: Sequence[float]) -> int:
+    """The smallest integer Q such that every interval adds at least
+    length/Q to the prefix ``row``: the exact check of the coverage rule."""
+    if not row[-1] < math.inf:
+        raise ValueError("the distance the arc covers by the horizon overflows")
+    shortest = _smallest_step(row)
+    bound = length / shortest if shortest > 0.0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"an interval covers only {shortest!r} m of the arc's "
+                         f"{length!r} m length")
+    return max(1, math.ceil(bound))
+
+
+def _smallest_step(row: Sequence[float]) -> float:
+    """The least distance any one interval adds to the prefix ``row``."""
+    return min(map(sub, row, (0.0, *row)))
 
 
 def speed_at(graph: TdGraph, arc: Arc, t: float) -> float:

@@ -99,11 +99,10 @@ without landmarks, use the label as the key: plain Dijkstra.
   loop's. The margin is needed: a crossing made at top speed throughout
   can compute a few ulps below ``least`` and improve a label by those
   ulps. The worst cancellation measured in a crossing's arithmetic, 4,506
-  ulps of a linear span (about 1e-12 relative), is far below 1e-6. A
-  crossing that would raise is skipped as well, so a query may answer
-  where the unpruned loop raised; whether it does depends on the order
-  nodes settle in. The same-interval exit is not pruned: it costs about
-  what the test does.
+  ulps of a linear span (about 1e-12 relative), is far below 1e-6. The
+  graph refused every arc whose crossing fails but by an arrival past the
+  largest float (``model.check_arc``). The same-interval exit is not
+  pruned: it costs about what the test does.
 """
 
 from __future__ import annotations

@@ -22,10 +22,9 @@ A speed kind enters the kernel only through three primitives (a
 :class:`_Kind`): the distance coverable from an instant to the end of its
 interval, the time to cover a distance inside one interval, and a walk
 over whole intervals. The first, taken from an interval's start, is that
-interval's span; :func:`effective_length`, :func:`build_ael` and the
-scan's period total all read it. The walk keeps its loop inline, because
-a call per interval would dominate the scan, and a constant-kind prefix
-row takes every span in one pass, as speed times interval width.
+interval's span, summed by ``model._prefix_sums`` for the coverage rule,
+:func:`build_ael` and the scan's period total. The walk keeps its loop
+inline, because a call per interval would dominate the scan.
 
 Departures past the measured horizon follow the graph's policy: under
 "static" the remainder is covered at the last measured speed in closed
@@ -37,11 +36,12 @@ The kernel holds every exit of a crossing: the same interval, the
 search (the one search of a prefix row), the scan, the static tail
 and the periodic wrap. The five public procedures and
 ``routing.traverse_arc`` share one door, ``_checked_cross``: it checks
-the policy, the profile, the departure and the length of the prefix row
-it reads, locates the departure, runs the unchecked kernel and locates
-the arrival. The routing engine, which validates once per query,
-finishes a same-interval crossing itself; everything else is one call to
-the kernel.
+the policy, the profile with its coverage rule (``model.check_arc``),
+the departure and the length of the prefix row it reads, locates the
+departure, runs the unchecked kernel and locates the arrival. The
+routing engine, which validates once per query, finishes a
+same-interval crossing itself; everything else is one call to the
+kernel.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -55,13 +55,12 @@ counter when the caller passes none.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from math import floor
-from operator import mul, sub
 
 from .landmarks import build_landmarks
 from .model import (
@@ -73,6 +72,9 @@ from .model import (
     TdGraph,
     TimeDivision,
     _check_profile,
+    _linear_span,
+    _prefix_sums,
+    _window_bound,
     locate_interval,
     map_instant,
     speed_line,
@@ -143,8 +145,8 @@ def build_ael(graph: TdGraph) -> AelTable:
     A constant-kind row is one ``accumulate`` of speed times interval
     width, packed with its window bound beside it. The landmark distance
     lists, a few static Dijkstra runs, are added by ``replace``, so no
-    table is changed once built. Raises ValueError naming the first arc
-    whose prefix sums cannot bound a search (see :func:`compute_q`).
+    table is changed once built. It cannot fail: the graph checked that
+    every arc's prefix sums bound a search (``model.check_arc``).
     """
     return replace(_prefix_table(graph), landmarks=build_landmarks(graph))
 
@@ -154,10 +156,9 @@ def _prefix_table(graph: TdGraph) -> AelTable:
     bound is read off its list of sums before the list is packed into the
     row: reading the packed row would box every entry again."""
     rows, bounds = [], []
-    for index, arc in enumerate(graph.arcs):
-        sums = _prefix_sums(_KINDS[arc.profile.kind], arc.profile.values,
-                            graph.division)
-        bounds.append(_window_bound(arc, sums, index))
+    for arc in graph.arcs:
+        sums = _prefix_sums(arc.profile.values, graph.division)
+        bounds.append(_window_bound(arc.length, sums))
         rows.append(array("d", sums))
     return AelTable(rows, bounds)
 
@@ -166,26 +167,12 @@ def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     """Smallest integer Q such that every interval covers >= length/Q.
 
     Bounds the arrival search of :func:`bounded_fatt` to Q consecutive
-    intervals. Computed once per arc at preprocessing time. Raises
-    ValueError when some interval adds no distance to the prefix sums, or
-    so little that length/Q overflows, or when the sums themselves
-    overflow: the arrival search needs finite, strictly increasing rows.
+    intervals. Computed once per arc at preprocessing time. It cannot fail
+    on a table built from a graph, which checked each arc's coverage
+    (``model.check_arc``); on a row built by hand that breaks the rule it
+    raises ValueError: the arrival search needs finite, increasing rows.
     """
-    return _window_bound(arc, _row(ael, index), index)
-
-
-def _window_bound(arc: Arc, row: Sequence[float], index: int) -> int:
-    """:func:`compute_q` for the prefix ``row`` of ``arc``, the table's
-    row ``index``."""
-    if not row[-1] < math.inf:
-        raise ValueError(f"arc {index} ({arc.src}->{arc.dst}): the distance it "
-                         "covers by the horizon overflows")
-    shortest = _smallest_step(row)
-    bound = arc.length / shortest if shortest > 0.0 else math.inf
-    if not math.isfinite(bound):
-        raise ValueError(f"arc {index} ({arc.src}->{arc.dst}): an interval covers "
-                         f"only {shortest!r} m of its {arc.length!r} m length")
-    return max(1, math.ceil(bound))
+    return _window_bound(arc.length, _row(ael, index))
 
 
 def att(
@@ -309,7 +296,7 @@ def _checked_cross(arc: Arc, row: array[float] | None, division: TimeDivision,
     arrival. ``hint`` seeds the departure's interval location."""
     if policy not in POLICIES:
         raise ValueError(f"unknown horizon policy {policy!r}")
-    _check_profile(arc.profile, kind, division.intervals, policy)
+    _check_profile(arc, kind, division, policy)
     _check_departure(tau)
     if row is not None:
         _check_row_length(row, division.intervals)
@@ -330,7 +317,7 @@ def _row(ael: AelTable, index: int) -> array[float]:
 
 
 def _check_departure(tau: float) -> None:
-    if not 0.0 <= tau < math.inf:
+    if not 0.0 <= tau <= sys.float_info.max:  # an int past it is < inf
         raise ValueError(
             f"departure instant must be finite and non-negative, got {tau!r}"
         )
@@ -400,7 +387,7 @@ def _cross(
             # Static tail: the rest at the last measured speed.
             return (horizon - t) + rest / values[-1], last
         # Skip whole repeats of the pattern, then find the arrival in one period.
-        total = (_prefix_sums(kind, values, division) if row is None else row)[last]
+        total = (_prefix_sums(values, division) if row is None else row)[last]
         if not total > 0.0:
             raise ValueError("a period covers no distance")
         repeats, rest = divmod(rest, total)
@@ -453,30 +440,6 @@ def _cross(
         counter.probes += probes
     at = points[stop]
     return (lead + at) + kind.within(values, points, stop, at, rest), stop
-
-
-def _prefix_row(arc: Arc, division: TimeDivision) -> array[float]:
-    """Distance covered on ``arc`` from tau_0 through the end of each
-    interval: the arc's :class:`AelTable` row."""
-    return array("d", _prefix_sums(_KINDS[arc.profile.kind], arc.profile.values,
-                                   division))
-
-
-def _prefix_sums(kind: _Kind, values: array[float],
-                 division: TimeDivision) -> list[float]:
-    """The prefix row of an arc with speed ``values`` of the ``kind``, as a
-    list (an array packs faster from a list than from an iterator)."""
-    if kind.cover is _cover_constant:
-        # cover(values, points, k, points[k]) for every k, in bulk
-        return list(accumulate(map(mul, values, division._widths)))
-    points = division.breakpoints
-    return list(accumulate(kind.cover(values, points, k, points[k])
-                           for k in range(len(points) - 1)))
-
-
-def _smallest_step(row: Sequence[float]) -> float:
-    """The least distance any one interval adds to the prefix ``row``."""
-    return min(map(sub, row, (0.0, *row)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -541,11 +504,6 @@ _KINDS = {
     CONSTANT: _Kind(_cover_constant, _within_constant, _walk_constant),
     LINEAR: _Kind(_cover_linear, _within_linear, _walk_linear),
 }
-
-
-def _linear_span(slope: float, intercept: float, t0: float, t1: float) -> float:
-    """Distance covered between t0 and t1 under speed slope*t+intercept."""
-    return slope * (t1 * t1 - t0 * t0) * 0.5 + intercept * (t1 - t0)
 
 
 def _travel_time(slope: float, intercept: float, start: float, dist: float) -> float:

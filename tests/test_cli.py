@@ -134,15 +134,15 @@ class TestRoute:
 
     def test_tiny_speed_arc_is_a_usage_error(self, tmp_path, capsys):
         # At 1e-320 m/s the 1 m arc takes no finite time, so loading rejects
-        # its line. At 1e-300 m/s it loads, but a 1e-10 s interval covers
-        # only 1e-310 m, so its window bound length/shortest overflows.
+        # its line. At 1e-300 m/s a 1e-10 s interval covers only 1e-310 m,
+        # so its window bound length/shortest overflows: loading rejects
+        # that line too, for the searches and the scans alike.
         cases = (
-            ("10", "1e-320", "tdroute: line 5: "),
-            ("1e-10", "1e-320", "tdroute: line 5: "),
-            ("1e-10", "1e-300",
-             "tdroute: arc 0 (0->1): an interval covers only 1e-310 m"),
+            ("10", "1e-320", "crossing time overflows"),
+            ("1e-10", "1e-320", "crossing time overflows"),
+            ("1e-10", "1e-300", "an interval covers only 1e-310 m"),
         )
-        for horizon, speed, prefix in cases:
+        for horizon, speed, message in cases:
             path = tmp_path / "tiny.tdg"
             path.write_text(
                 "tdgraph 1 constant static\n"
@@ -150,47 +150,43 @@ class TestRoute:
                 "nodes 2\narcs 1\n"
                 f"arc 0 1 1 {speed}\n"
             )
-            code, _, err = run_cli(capsys, "route", str(path), "0")
-            assert code == 2
-            assert err.startswith(prefix)
-            assert err.count("\n") == 1
-            if prefix.startswith("tdroute: line 5: "):
-                code, _, err = run_cli(capsys, "validate", str(path))
+            for argv in (("route", str(path), "0"),
+                         ("route", str(path), "0", "--strategy", "att")):
+                code, _, err = run_cli(capsys, *argv)
                 assert code == 2
-                assert "line 5: crossing time overflows" in err
+                assert err.startswith(f"tdroute: line 5: {message}")
+                assert err.count("\n") == 1
+            code, _, err = run_cli(capsys, "validate", str(path))
+            assert code == 2
+            assert f"line 5: {message}" in err
 
     def test_an_absorbed_step_is_a_usage_error_for_the_searches(self, tmp_path, capsys):
         # The 1 m interval's step of the prefix row rounds away against
-        # 1e20 m, so the row reads [1e20, 1e20]. The scan answers 16385;
-        # a search on that row would answer 16386, so the searches refuse.
+        # 1e20 m, so the row reads [1e20, 1e20]. A scan would answer 16385
+        # and a search on that row 16386, so loading refuses the arc's line
+        # for every strategy, and validate agrees.
         path = tmp_path / "absorbed.tdg"
         path.write_text(
             "tdgraph 1 constant static\ndivision 2 0 1 2\nnodes 2\narcs 1\n"
             "arc 0 1 100000000000000016384 1e20 1\n"
         )
-        code, out, err = run_cli(
-            capsys, "route", str(path), "0", "--strategy", "att"
-        )
-        assert (code, err) == (0, "")
-        assert out.splitlines()[2] == "1 16385 0"
-        code, out, err = run_cli(
-            capsys, "route", str(path), "0", "--target", "1", "--strategy", "att"
-        )
-        assert (code, err) == (0, "")
-        assert out.splitlines() == ["path: 0 1", "arrival: 16385"]
-        for strategy in ("fatt", "b-fatt"):
-            code, out, err = run_cli(
-                capsys, "route", str(path), "0", "--strategy", strategy
-            )
+        message = "line 5: an interval covers only 0.0 m"
+        runs = [("route", str(path), "0", "--strategy", strategy)
+                for strategy in ("att", "fatt", "b-fatt")]
+        runs += [("route", str(path), "0", "--target", "1", "--strategy", "att"),
+                 ("att", str(path), "0")]
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
-            assert err.startswith(
-                "tdroute: arc 0 (0->1): an interval covers only 0.0 m"
-            )
+            assert err.startswith(f"tdroute: {message}")
             assert err.count("\n") == 1
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}: {message}")
 
     def test_tiny_speed_arc_under_the_scan_is_a_usage_error(self, tmp_path, capsys):
-        # The scan strategies build no prefix table, so the crossing's cost
-        # overflows (static) or the period covers 0 m (periodic).
+        # 1 m at 1e-320 m/s takes no finite time, so loading refuses the
+        # arc's line before any scan runs, under either policy.
         cases = (
             ("constant", "1e-320", "att"),
             ("linear", "1e-320 1e-320", "att-linear"),
@@ -245,22 +241,20 @@ class TestRoute:
 
     def test_an_overflowing_prefix_row_is_a_usage_error(self, tmp_path, capsys):
         # 7 s at 1e308 m/s covers more than the largest float: the search
-        # strategies need a finite prefix row, the scan does not.
+        # strategies need a finite prefix row, so loading refuses the line,
+        # for the scan as well.
         path = tmp_path / "overflow.tdg"
         path.write_text(
             "tdgraph 1 constant static\ndivision 1 0 7\n"
             "nodes 2\narcs 1\narc 0 1 1 1e308\n"
         )
         argv = ("route", str(path), "0", "--departure", "10", "--target", "1")
-        code, out, _ = run_cli(capsys, *argv, "--csv", "--strategy", "att")
-        assert code == 0
-        assert out.splitlines()[1] == "1,10,0 1"
-        for strategy in ("fatt", "b-fatt"):
+        for strategy in ("att", "fatt", "b-fatt"):
             code, out, err = run_cli(capsys, *argv, "--strategy", strategy)
             assert code == 2
             assert out == ""
             assert err == (
-                "tdroute: arc 0 (0->1): the distance it covers by the horizon "
+                "tdroute: line 5: the distance the arc covers by the horizon "
                 "overflows\n"
             )
 

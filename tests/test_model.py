@@ -55,8 +55,9 @@ class TestLocateInterval:
         assert locate_interval(DEMO_DIVISION, 15.0) == 2
 
     def test_negative_instant(self):
+        # 10**400 is no float, though it is below inf.
         for policy in (STATIC, PERIODIC):
-            for t in (-1.0, math.nan, math.inf):
+            for t in (-1.0, math.nan, math.inf, 10**400):
                 with pytest.raises(ValueError):
                     locate_interval(DEMO_DIVISION, t, policy)
 
@@ -119,7 +120,7 @@ class TestMapInstant:
                     assert points[k] <= mapped < points[k + 1]
 
     def test_bad_instants_and_policies_raise(self):
-        for t in (-1.0, math.nan, math.inf):
+        for t in (-1.0, math.nan, math.inf, 10**400):
             with pytest.raises(ValueError):
                 map_instant(DEMO_DIVISION, t, PERIODIC)
         with pytest.raises(ValueError, match="unknown horizon policy 'weekly'"):
@@ -268,10 +269,12 @@ class TestTdGraphValidation:
             Arc(0, 1, 5.0, SpeedProfile(LINEAR, (10.0,))),
             Arc(0, 1, 5.0, SpeedProfile(CONSTANT, (10.0,))),
             Arc(0, 1, 5.0, SpeedProfile(LINEAR, (10.0, 12.0))),
+            # 10 s at 1e308 m/s: the arc's prefix row overflows.
+            Arc(0, 1, 5.0, SpeedProfile(LINEAR, (1e308, 1e308))),
         )
         for bad in bad_arcs:
             with pytest.raises(ValueError) as expected:
-                check_arc(bad, 3, LINEAR, 1, PERIODIC)
+                check_arc(bad, 3, LINEAR, division, PERIODIC)
             for arcs in ((good, good, bad, good), (bad, bad_arcs[0], good)):
                 with pytest.raises(ValueError) as caught:
                     TdGraph(3, division, PERIODIC, LINEAR, arcs)

@@ -5,12 +5,13 @@ Every graph that can be built goes through ``loads(dumps(g))``,
 to each target. Each step either answers or raises ValueError
 (GraphFormatError included); any other exception fails the test. Where
 every strategy answers, their arrivals agree at rel 1e-9 and their arrival
-intervals match. A scan may answer where the search strategies reject the
-graph's prefix table.
+intervals match.
 
 The same cases check the engine's pruning against a copy of each graph
 that prunes nothing: the answers are the same bits and every pruned
-relaxation is one crossing the copy computed.
+relaxation is one crossing the copy computed. Their arcs check the O(1)
+bound of the coverage rule against its exact check, and their files check
+that loading, validation and ``build_ael`` give one verdict.
 """
 
 import copy
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from tdroute import (
     CONSTANT,
+    GraphFormatError,
     LINEAR,
     PERIODIC,
     STATIC,
@@ -35,9 +37,11 @@ from tdroute import (
     shortest_path_to,
     shortest_paths,
 )
+from tdroute.io_gen import _parse
+from tdroute.model import (_clears_coverage, _prefix_sums, _window_bound,
+                           check_arc)
 
 STRATEGIES = {CONSTANT: ("att", "fatt", "b-fatt"), LINEAR: ("att-linear", "l-fatt")}
-SCANS = ("att", "att-linear")
 NODES = 3
 PAIRS = [(u, v) for u in range(NODES) for v in range(NODES) if u != v]
 
@@ -71,24 +75,40 @@ def cases(draw):
     return kind, policy, widths, arcs, departure
 
 
-def build(kind, policy, widths, arcs):
-    """The graph, keeping the arcs that can be built; ValueError when the
-    widths make no time division."""
+def division_of(widths):
+    """The time division of the interval ``widths``; ValueError when they
+    make none."""
     points = [0.0]
     for width in widths:
         points.append(points[-1] + width)
-    division = TimeDivision(tuple(points))
-    built = []
+    return TimeDivision(tuple(points))
+
+
+def built_arcs(kind, division, arcs):
+    """Each arc that can be built, without the graph's checks."""
     for src, dst, length, speeds in arcs:
         try:
             profile = SpeedProfile(kind, tuple(speeds))
             if isinstance(length, int):
                 unit = Arc(src, dst, min(speeds), profile)
                 length = sum(effective_length(unit, division, k) for k in range(length + 1))
-            built.append(Arc(src, dst, length, profile))
+            yield Arc(src, dst, length, profile)
         except ValueError:
             pass
-    return TdGraph(NODES, division, policy, kind, tuple(built))
+
+
+def build(kind, policy, widths, arcs):
+    """The graph, keeping the arcs that can be built and that the graph
+    accepts; ValueError when the widths make no time division."""
+    division = division_of(widths)
+    kept = []
+    for arc in built_arcs(kind, division, arcs):
+        try:
+            check_arc(arc, NODES, kind, division, policy)
+            kept.append(arc)
+        except ValueError:
+            pass
+    return TdGraph(NODES, division, policy, kind, tuple(kept))
 
 
 def answers(graph, table, departure, strategy):
@@ -124,16 +144,10 @@ def test_adversarial_graphs_answer_or_raise_value_error(case):
         graph = loads(dumps(build(kind, policy, widths, arcs)))
     except ValueError:
         return
-    try:
-        table = build_ael(graph)
-    except ValueError:
-        table = None
-    results = [
-        answers(graph, table, departure, strategy)
-        for strategy in STRATEGIES[kind]
-        if table is not None or strategy in SCANS
-    ]
-    if table is None or None in results:
+    table = build_ael(graph)
+    results = [answers(graph, table, departure, strategy)
+               for strategy in STRATEGIES[kind]]
+    if None in results:
         return
     arrivals, to, intervals = results[0]
     for other_arrivals, other_to, other_intervals in results[1:]:
@@ -172,23 +186,23 @@ def compare_with_unpruned(case):
         graph = build(kind, policy, widths, arcs)
     except ValueError:
         return 0
-    try:
-        table = build_ael(graph)
-    except ValueError:
-        table = None
+    table = build_ael(graph)
     plain = unpruned(graph)
     pruned = 0
     for strategy in STRATEGIES[kind]:
-        if table is None and strategy not in SCANS:
-            continue
         for source in range(NODES):
             queries = [(shortest_paths, source, departure, strategy)]
             queries += [(shortest_path_to, source, target, departure, strategy)
                         for target in range(NODES)]
             for query, *args in queries:
-                want = answer(query, plain, table, *args)
-                if want is None:
-                    continue  # pruning may skip the crossing that raised
+                try:
+                    want = query(plain, table, *args)
+                except ValueError as error:
+                    # The graph refused every arc whose crossing could raise
+                    # otherwise: only an arrival past the largest float still
+                    # raises, and pruning may skip that crossing.
+                    assert str(error) == "time instant must be finite, got inf"
+                    continue
                 got = answer(query, graph, table, *args)
                 assert got is not None
                 if query is shortest_paths:
@@ -208,13 +222,73 @@ def test_pruning_gives_the_unpruned_answers_bit_for_bit():
     pruned = []
 
     @given(cases())
-    # The second arc's period covers no distance, which raises unless its
-    # relaxation is pruned behind the first arc's arrival at 0.0.
-    @example((CONSTANT, PERIODIC, [1e-300],
-              [(0, 1, 1e-300, [1e300]), (0, 1, 1e-300, [1e-300])], 0.0))
+    # The arrival at node 1, 1e308 + 1e308 s, overflows. The unpruned copy
+    # raises on it; the engine prunes it, for no crossing beats 1e308 s.
+    @example((CONSTANT, STATIC, [1.0], [(0, 1, 1e308, [1.0])], 1e308))
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     def check(case):
         pruned.append(compare_with_unpruned(case))
 
     check()
     assert sum(pruned) > 0
+
+
+@given(cases())
+# Speeds of 1e300 m/s over a 1e300 s interval: slowest speed times narrowest
+# width overflows, and so does the prefix row.
+@example((CONSTANT, STATIC, [1e300], [(0, 1, 1.0, [1e300])], 0.0))
+# Subnormal speeds over intervals near 2^499 s: the second interval's slope
+# underflows to 0 and its intercept is negative, so its span computes
+# below 0, though every speed is positive.
+@example((LINEAR, STATIC, [2.0**499, 2.0**498],
+          [(0, 1, 2.0**-60, [5e-324, 5e-324, 1.5e-323])], 0.0))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_the_coverage_bound_clears_only_arcs_the_exact_check_passes(case):
+    kind, _, widths, arcs, _ = case
+    try:
+        division = division_of(widths)
+    except ValueError:
+        return
+    for arc in built_arcs(kind, division, arcs):
+        if _clears_coverage(arc.profile, arc.length, division):
+            _window_bound(arc.length, _prefix_sums(arc.profile.values, division))
+
+
+def unchecked_text(kind, policy, division, arcs):
+    """The graph file of ``arcs``, which no graph has checked."""
+    lines = [f"tdgraph 1 {kind} {policy}",
+             f"division {division.intervals} {' '.join(map(repr, division.breakpoints))}",
+             f"nodes {NODES}", f"arcs {len(arcs)}"]
+    lines += [f"arc {arc.src} {arc.dst} {arc.length!r} "
+              + " ".join(map(repr, arc.profile.values)) for arc in arcs]
+    return "\n".join(lines) + "\n"
+
+
+@given(cases())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_loading_validation_and_the_table_give_one_verdict(case):
+    # A file loads exactly when validation reports nothing, and exactly when
+    # the exact check, which build_ael runs on every row, passes each arc.
+    kind, policy, widths, arcs, _ = case
+    try:
+        division = division_of(widths)
+    except ValueError:
+        return
+    unchecked = tuple(built_arcs(kind, division, arcs))
+    bounds = []
+    for arc in unchecked:
+        try:
+            bounds.append(_window_bound(
+                arc.length, _prefix_sums(arc.profile.values, division)))
+        except ValueError:
+            bounds.append(None)
+    text = unchecked_text(kind, policy, division, unchecked)
+    errors = _parse(text.splitlines())[1]
+    assert [error.line - 5 for error in errors] == [
+        index for index, bound in enumerate(bounds) if bound is None]
+    try:
+        graph = loads(text)
+    except GraphFormatError:
+        assert errors
+        return
+    assert build_ael(graph).window_bounds == bounds

@@ -16,6 +16,7 @@ from tdroute import (
     AelTable,
     Arc,
     GeneratorConfig,
+    GraphFormatError,
     OpCounter,
     SpeedProfile,
     TdGraph,
@@ -130,6 +131,27 @@ class TestValidation:
         for departure in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 shortest_paths(graph, None, 0, departure, "att")
+
+    def test_an_int_departure_beyond_the_float_range_is_rejected(self):
+        # 10**400 < inf holds, but the int has no float: every entry point
+        # must say so as a ValueError, not an OverflowError.
+        graph, departure = sample_graph(), 10**400
+        table = build_ael(graph)
+        arc, division = graph.arcs[0], graph.division
+        linear = Arc(0, 1, 170.0, SpeedProfile(LINEAR, (10.0, 6.0, 8.0, 10.0, 10.0)))
+        calls = (
+            lambda: shortest_paths(graph, table, 0, departure, "fatt"),
+            lambda: shortest_path_to(graph, table, 0, 1, departure, "fatt"),
+            lambda: traverse_arc(graph, table, 0, departure, "att"),
+            lambda: att(arc, division, STATIC, departure),
+            lambda: fatt(arc, table, 0, division, STATIC, departure),
+            lambda: bounded_fatt(arc, table, 0, division, STATIC, departure, 6),
+            lambda: att_linear(linear, division, STATIC, departure),
+            lambda: l_fatt(linear, table, 0, division, STATIC, departure),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="must be finite and non-negative"):
+                call()
 
     def test_a_negative_zero_departure_is_positive_zero(self):
         graph = sample_graph()
@@ -755,20 +777,23 @@ class TestSearchedExit:
                 for s in stats[:3]] == [(25, 33, 189, 0), (25, 34, 230, 0),
                                     (25, 32, 196, 0)]
 
-    def test_a_distance_that_is_nan_reaches_the_kernel(self):
+    def test_a_span_that_is_nan_is_refused_at_load(self):
         # A flat linear arc over one 1e200 s interval: its slope 0 times the
-        # interval's square, inf, makes the distance first coverable in
-        # interval 0 NaN. The loop hands it to the kernel, as the single-arc
-        # door does, and both raise instead of taking the same-interval exit.
-        graph = loads(
-            "tdgraph 1 linear static\ndivision 1 0 1e200\nnodes 2\narcs 1\n"
-            "arc 0 1 1 10 10\n"
-        )
-        for query in (lambda: shortest_paths(graph, None, 0, 0.0, "att-linear"),
-                      lambda: shortest_path_to(graph, None, 0, 1, 0.0, "att-linear"),
-                      lambda: traverse_arc(graph, None, 0, 0.0, "att-linear")):
-            with pytest.raises(ValueError, match="non-negative, got nan"):
-                query()
+        # interval's square, inf, makes the interval's span NaN, and with it
+        # the distance first coverable from any departure in it. The arc's
+        # prefix row is NaN, so loading refuses the line, and the graph and
+        # the single-arc procedures refuse the arc: no query meets the NaN.
+        text = ("tdgraph 1 linear static\ndivision 1 0 1e200\nnodes 2\narcs 1\n"
+                "arc 0 1 1 10 10\n")
+        message = "the distance the arc covers by the horizon overflows"
+        with pytest.raises(GraphFormatError, match=f"^line 5: {message}$"):
+            loads(text)
+        division = TimeDivision((0.0, 1e200))
+        arc = Arc(0, 1, 1.0, SpeedProfile(LINEAR, (10.0, 10.0)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TdGraph(2, division, STATIC, LINEAR, (arc,))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            att_linear(arc, division, STATIC, 0.0)
 
 
 class TestPruning:
@@ -797,26 +822,18 @@ class TestPruning:
                 assert (result.stats.traversal_calls, result.stats.pruned) == (2, 0)
                 assert shortest_path_to(graph, table, 0, 1, 0.0, strategy).arrival == best
 
-    def test_a_degenerate_arc_behind_a_better_label_is_pruned(self):
+    def test_a_degenerate_arc_is_refused_before_pruning_can_skip_it(self):
         # The second arc's period covers 1e-300 m/s * 1e-300 s, which
-        # underflows to 0: its crossing raises. But no crossing of it takes
-        # less than 1 s, so once the first arc has put node 1 at 0.0, the
-        # engine skips it and answers.
-        text = (
-            "tdgraph 1 constant periodic\ndivision 1 0 1e-300\nnodes 2\narcs 2\n"
-            "arc 0 1 1e-300 1e+300\narc 0 1 1e-300 1e-300\n"
-        )
-        graph = loads(text)
-        result = shortest_paths(graph, None, 0, 0.0, "att")
-        assert result.arrival == [0.0, 0.0]
-        assert result.predecessor == [None, 0]
-        assert (result.stats.traversal_calls, result.stats.pruned) == (1, 1)
-        # Whether such an arc raises still depends on the order the engine
-        # relaxes arcs in: first, it finds no label to prune against.
-        swapped = TdGraph(2, graph.division, graph.policy, graph.kind,
-                          graph.arcs[::-1])
-        with pytest.raises(ValueError, match="a period covers no distance"):
-            shortest_paths(swapped, None, 0, 0.0, "att")
+        # underflows to 0. No crossing of it takes less than 1 s, so once
+        # the first arc has put node 1 at 0.0 the engine would skip it; the
+        # other way round, its crossing would raise. Loading refuses the
+        # arc's line whatever the order, so no query depends on it.
+        first, second = "arc 0 1 1e-300 1e+300\n", "arc 0 1 1e-300 1e-300\n"
+        head = "tdgraph 1 constant periodic\ndivision 1 0 1e-300\nnodes 2\narcs 2\n"
+        for arcs, line in ((first + second, 6), (second + first, 5)):
+            with pytest.raises(GraphFormatError,
+                               match=f"^line {line}: an interval covers only 0.0 m"):
+                loads(head + arcs)
 
     def test_a_label_past_the_horizon_reaches_the_prune_test(self):
         # From 15.0, past the horizon 10.0, crossings depart from the mapped

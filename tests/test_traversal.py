@@ -36,14 +36,8 @@ from tdroute import (
     locate_interval,
     sample_graph,
 )
-from tdroute.model import speed_line
-from tdroute.traversal import (
-    _KINDS,
-    _cross,
-    _linear_span,
-    _prefix_row,
-    _travel_time,
-)
+from tdroute.model import _linear_span, _prefix_sums, speed_line
+from tdroute.traversal import _KINDS, _cross, _travel_time
 from support import (
     integrate_motion,
     random_division,
@@ -143,7 +137,7 @@ class TestAelTable:
                         )
                         want = list(accumulate(spans))
                         assert list(map(float.hex, row)) == list(map(float.hex, want))
-                        total = _prefix_row(arc, division)[-1]
+                        total = _prefix_sums(arc.profile.values, division)[-1]
                         assert total.hex() == row[-1].hex()
 
     def test_rows_strictly_increasing(self):
@@ -195,16 +189,17 @@ class TestComputeQ:
 
     def test_a_row_whose_total_overflows_raises(self):
         # 7 s at 1e308 m/s: the row is [inf], whose only step is not small.
+        # The graph refuses the arc, so no table built from a graph holds
+        # the row; compute_q still refuses it in a table built by hand.
         division = TimeDivision((0.0, 7.0))
         arc = make_arc(1.0, CONSTANT, (1e308,))
-        graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
-        table = AelTable(rows=[_prefix_row(arc, division)])
+        table = AelTable(rows=[array("d", _prefix_sums(arc.profile.values, division))])
         assert [list(row) for row in table.rows] == [[math.inf]]
-        message = r"^arc 0 \(0->1\): the distance it covers by the horizon overflows$"
+        message = r"^the distance the arc covers by the horizon overflows$"
         with pytest.raises(ValueError, match=message):
             compute_q(arc, table, 0)
         with pytest.raises(ValueError, match=message):
-            build_ael(graph)
+            TdGraph(2, division, STATIC, CONSTANT, (arc,))
 
 
 class TestAtt:
@@ -240,14 +235,25 @@ class TestAtt:
         assert att(arc, division, PERIODIC, 0.0).cost == 105.0
 
     def test_period_covering_no_distance_raises(self):
-        # Each 1e-30 s period covers 1e-330 m, which underflows to 0.
+        # Each 1e-30 s period covers 1e-330 m, which underflows to 0: the
+        # door's coverage check refuses the arc before any scan runs.
         division = TimeDivision((0.0, 1e-30))
         for procedure, arc in (
             (att, make_arc(1.0, CONSTANT, (1e-300,))),
             (att_linear, make_arc(1.0, LINEAR, (1e-300, 1e-300))),
         ):
-            with pytest.raises(ValueError, match="a period covers no distance"):
+            with pytest.raises(ValueError, match="^an interval covers only 0.0 m"):
                 procedure(arc, division, PERIODIC, 0.0)
+        # A search reads the period's distance off its prefix row, which a
+        # table built by hand may hold as 0 for an arc that covers 1 m.
+        division = TimeDivision((0.0, 1.0))
+        for procedure, arc in (
+            (fatt, make_arc(2.0, CONSTANT, (1.0,))),
+            (l_fatt, make_arc(2.0, LINEAR, (1.0, 1.0))),
+        ):
+            table = AelTable([array("d", [0.0])])
+            with pytest.raises(ValueError, match="^a period covers no distance$"):
+                procedure(arc, table, 0, division, PERIODIC, 0.0)
 
     def test_departure_past_horizon(self):
         assert att(DEMO_ARC, DEMO.division, STATIC, 100.0).cost == 17.0
