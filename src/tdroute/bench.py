@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .io_gen import MAX_INTERVALS, _random_profile
 from .model import STATIC, Arc, TdGraph, TimeDivision, _prefix_sums, _smallest_step
 from .routing import _PLANS, STRATEGIES, traverse_arc
-from .traversal import OpCounter, _prefix_table
+from .traversal import AelTable, OpCounter, _prefix_table
 
 CSV_HEADER = "strategy,K,n,m,Q,queries,probes,wall_ns"
 
@@ -131,7 +131,7 @@ def run_cell(k_intervals: int, config: SweepConfig) -> list[BenchRecord]:
     q = table.window_bounds[0]
     if config.window is not None and config.window > q:
         q = config.window
-        table = replace(table, window_bounds=[q])
+        table = AelTable(table.rows, [q])
 
     horizon = division.horizon
     departures = [

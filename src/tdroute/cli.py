@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import ChecksumMismatch, SweepConfig, run_sweep, to_csv
@@ -225,18 +224,17 @@ def _plan(
     graph: TdGraph, strategy: str | None, searches: bool, target: bool = False
 ) -> tuple[str, AelTable | None]:
     """The strategy (default: the graph kind's unwindowed search, or its scan
-    when not ``searches``) and its table, built in two steps: the prefix
-    rows and window bounds for a search, then the landmark lists that A*
-    reads toward a ``target``, added by ``replace``. A one-to-all scan gets
-    no table."""
+    when not ``searches``) and its table, built in one step: the landmark
+    lists that A* reads toward a ``target``, and for a search the prefix
+    rows and window bounds, filled on first use. A one-to-all scan gets no
+    table."""
     if strategy is None:
         default = (graph.kind, searches, False)
         strategy = next(s for s, plan in _PLANS.items() if plan == default)
-    table = _prefix_table(graph) if _PLANS[strategy][1] else None
-    if target:
-        table = replace(AelTable([]) if table is None else table,
-                        landmarks=build_landmarks(graph))
-    return strategy, table
+    landmarks = build_landmarks(graph) if target else []
+    if _PLANS[strategy][1]:
+        return strategy, _prefix_table(graph, landmarks)
+    return strategy, AelTable([], [], landmarks) if target else None
 
 
 def _pretty(x: float) -> str:

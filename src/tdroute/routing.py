@@ -44,7 +44,9 @@ l-fatt     prefix-sum search, linear speeds         linear
 Each settled node remembers the interval its arrival lies in; that index
 seeds the next traversal call's interval location, making it O(1).
 A query owns its working state exclusively, so any number of queries may
-run concurrently over one shared graph/table.
+run concurrently over one shared graph/table. The loop fills an arc's row
+(and b-fatt's window) when it first hands the arc to the kernel: the same
+bits from any query, in one atomic list-slot store (``traversal.AelTable``).
 
 Point-to-point queries run A* whenever the table carries landmark lists
 (:func:`tdroute.traversal.build_ael` always adds them), whatever the
@@ -84,7 +86,7 @@ without landmarks, use the label as the key: plain Dijkstra.
   Dijkstra's. When two paths reach a node at exactly the same instant,
   the path returned may be the other one.
 * Pruned. Before a kernel call, the loop skips the relaxation when
-  ``label + least * SCALE >= arrival[dst]``, where ``least`` is the arc's
+  ``arrival[dst] <= label + least * SCALE < inf``, where ``least`` is the arc's
   ``length / max(values)``, kept by the graph, and ``SCALE`` is the
   landmarks' 1 - 1e-6; ``QueryStats.pruned`` counts the skips. No crossing
   of the arc is faster than ``least`` (Admissible, above). With δ the
@@ -101,8 +103,9 @@ without landmarks, use the label as the key: plain Dijkstra.
   ulps. The worst cancellation measured in a crossing's arithmetic, 4,506
   ulps of a linear span (about 1e-12 relative), is far below 1e-6. The
   graph refused every arc whose crossing fails but by an arrival past the
-  largest float (``model.check_arc``). The same-interval exit is not
-  pruned: it costs about what the test does.
+  largest float (``model.check_arc``); only a finite bound prunes, so that
+  one raises in the engine as in ``traverse_arc``. The same-interval exit
+  is not pruned: it costs about what the test does.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ from .traversal import (
     TraversalResult,
     _check_departure,
     _check_row_length,
-    _checked_cross,
     _cross,
+    _cross_at,
 )
 
 ATT = "att"
@@ -248,28 +251,29 @@ def traverse_arc(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """One arc traversal under ``strategy`` (debug-level query), checked and
-    run by ``traversal._checked_cross`` as the single-arc procedures are."""
+    """One arc traversal under ``strategy`` (debug-level query), run by
+    ``traversal._cross_at`` as the single-arc procedures are, less the
+    profile check that the graph made."""
     rows, windows, _ = _check_strategy(graph, ael, strategy)
     if not 0 <= arc_index < graph.arc_count:
         raise ValueError(f"arc index {arc_index} out of range")
-    row = None if rows is None else rows[arc_index]
-    window = None if windows is None else windows[arc_index]
-    return _checked_cross(graph.arcs[arc_index], row, graph.division, graph.kind,
-                          graph.policy, departure, counter, hint, window)
+    row = None if rows is None else ael._fill_row(arc_index)
+    window = None if windows is None else ael._fill_bound(arc_index)
+    return _cross_at(graph.arcs[arc_index], row, graph.division, graph.kind,
+                     graph.policy, departure, counter, hint, window)
 
 
 def _check_strategy(
     graph: TdGraph, ael: AelTable | None, strategy: str
 ) -> tuple[list[array[float]] | None, list[int] | None, list]:
-    """The kernel's per-arc prefix rows (None for a scan) and search windows
-    (None unless windowed) under ``strategy``, and the table's landmark
-    lists (empty without a table), once the strategy suits the graph and
-    the table has one row and window per arc, rows of one entry per
-    interval and one landmark distance per node of the graph. The rows'
-    shared length, recorded when the table was built, makes their check
-    O(1); the rows are walked, to name the first bad one, only when that
-    length is not the interval count."""
+    """The table's per-arc prefix rows (None for a scan) and search windows
+    (None unless windowed) under ``strategy``, each entry None until filled,
+    and its landmark lists (empty without a table), once the strategy suits
+    the graph and the table has one row and window per arc, rows of one
+    entry per interval and one landmark distance per node of the graph. The
+    rows' shared length, recorded when the table was built, makes their
+    check O(1); the rows are walked, to name the first bad one, only when
+    that length is not the interval count."""
     strategy = strategy.lower()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -290,22 +294,22 @@ def _check_strategy(
         return None, None, landmarks
     if ael is None:
         raise ValueError(f"strategy {strategy!r} needs a prefix table")
-    if len(ael.rows) != graph.arc_count:
+    if len(ael._rows) != graph.arc_count:
         raise ValueError(
-            f"prefix table has {len(ael.rows)} rows, graph has "
+            f"prefix table has {len(ael._rows)} rows, graph has "
             f"{graph.arc_count} arcs"
         )
     if ael._row_length != graph.division.intervals:
         for row in ael.rows:
             _check_row_length(row, graph.division.intervals)
     if not windowed:
-        return ael.rows, None, landmarks
-    if len(ael.window_bounds) != graph.arc_count:
+        return ael._rows, None, landmarks
+    if len(ael._bounds) != graph.arc_count:
         raise ValueError(
-            f"prefix table has {len(ael.window_bounds)} window bounds, "
+            f"prefix table has {len(ael._bounds)} window bounds, "
             f"graph has {graph.arc_count} arcs"
         )
-    return ael.rows, ael.window_bounds, landmarks
+    return ael._rows, ael._bounds, landmarks
 
 
 def _run(
@@ -399,17 +403,19 @@ def _run(
                 interval = k
             else:
                 # No crossing of the arc beats its least crossing time, so
-                # none from label improves dst: skip the kernel.
-                if label + least[arc_index] * scale >= arrival[dst]:
+                # none from label improves dst: skip the kernel, unless inf.
+                if arrival[dst] <= label + least[arc_index] * scale < inf:
                     pruned += 1
                     continue
                 # One kernel call, given the distance first coverable in
-                # interval k. The stats serve as its counter.
+                # interval k, filling the row on first use. Stats count it.
                 cost, interval = _cross(
                     kind, values, length,
-                    None if rows is None else rows[arc_index],
+                    None if rows is None
+                    else rows[arc_index] or ael._fill_row(arc_index),
                     division, policy, k, t, first,
-                    None if windows is None else windows[arc_index],
+                    None if windows is None
+                    else windows[arc_index] or ael._fill_bound(arc_index),
                     stats,
                 )
                 candidate = label + cost

@@ -23,7 +23,7 @@ A speed kind enters the kernel only through three primitives (a
 interval, the time to cover a distance inside one interval, and a walk
 over whole intervals. The first, taken from an interval's start, is that
 interval's span, summed by ``model._prefix_sums`` for the coverage rule,
-:func:`build_ael` and the scan's period total. The walk keeps its loop
+the table's rows and the scan's period total. The walk keeps its loop
 inline, because a call per interval would dominate the scan.
 
 Departures past the measured horizon follow the graph's policy: under
@@ -34,13 +34,14 @@ using the total distance coverable per period, then one in-period search
 
 The kernel holds every exit of a crossing: the same interval, the
 search (the one search of a prefix row), the scan, the static tail
-and the periodic wrap. The five public procedures and
-``routing.traverse_arc`` share one door, ``_checked_cross``: it checks
-the policy, the profile with its coverage rule (``model.check_arc``),
-the departure and the length of the prefix row it reads, locates the
-departure, runs the unchecked kernel and locates the arrival. The
-routing engine, which validates once per query, finishes a
-same-interval crossing itself; everything else is one call to the
+and the periodic wrap. The five public procedures share one door,
+``_checked_cross``: it checks the policy and the profile with its
+coverage rule (``model.check_arc``), then ``_cross_at`` checks the
+departure and the length of the prefix row it reads, locates the
+departure, runs the unchecked kernel and locates the arrival.
+``routing.traverse_arc`` enters at ``_cross_at``, as its graph checked
+every arc. The routing engine, which validates once per query, finishes
+a same-interval crossing itself; everything else is one call to the
 kernel.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
@@ -59,7 +60,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass
 from math import floor
 
 from .landmarks import build_landmarks
@@ -73,6 +74,7 @@ from .model import (
     TimeDivision,
     _check_profile,
     _linear_span,
+    _pack,
     _prefix_sums,
     _window_bound,
     locate_interval,
@@ -102,7 +104,6 @@ class TraversalResult:
     arrival_interval: int
 
 
-@dataclass(frozen=True)
 class AelTable:
     """Per-arc prefix sums of the distance coverable in each interval.
 
@@ -114,21 +115,45 @@ class AelTable:
     from it to every node and from every node to it, which bound
     point-to-point queries from below (see :mod:`tdroute.landmarks`).
 
-    Each row is one ``array('d')``. A table is a value: build it whole,
-    with ``dataclasses.replace`` to add a part, and do not edit its rows
-    afterwards. Building it records the length all rows share, so the
-    route engine checks every row's length in O(1) per query.
+    Each row is one ``array('d')``. A table built from a graph
+    (:func:`build_ael`) fills arc i's row when a crossing first reads it,
+    and its window bound when a windowed search first does; reading
+    ``rows`` or ``window_bounds`` fills the rest. A filled entry is a pure
+    function of the graph, stored by one atomic list-slot store: queries
+    that fill the same row store the same bits, so they may share a table
+    across threads. A table built from ``rows`` records the length they
+    share, so the route engine checks all rows' lengths in O(1) per query.
     """
 
-    rows: list[array[float]]
-    window_bounds: list[int] = field(default_factory=list)
-    landmarks: list[tuple[list[float], list[float]]] = field(default_factory=list)
-    _row_length: int | None = field(init=False, repr=False, compare=False)
+    def __init__(self, rows: list[array[float]], window_bounds: list[int] | None = None,
+                 landmarks: list[tuple[list[float], list[float]]] | None = None) -> None:
+        lengths = set(map(len, rows))
+        vars(self).update(_rows=rows, _bounds=window_bounds or [], _graph=None,
+                          landmarks=landmarks or [],
+                          _row_length=lengths.pop() if len(lengths) == 1 else None)
 
-    def __post_init__(self) -> None:
-        lengths = set(map(len, self.rows))
-        object.__setattr__(self, "_row_length",
-                           lengths.pop() if len(lengths) == 1 else None)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def rows(self) -> list[array[float]]:
+        return list(map(self._fill_row, range(len(self._rows))))
+
+    @property
+    def window_bounds(self) -> list[int]:
+        return list(map(self._fill_bound, range(len(self._bounds))))
+
+    def _fill_row(self, index: int) -> array[float]:
+        if (row := self._rows[index]) is None:
+            row = self._rows[index] = _pack(_prefix_sums(
+                self._graph._speeds[index], self._graph.division))
+        return row
+
+    def _fill_bound(self, index: int) -> int:
+        if (bound := self._bounds[index]) is None:
+            bound = self._bounds[index] = _window_bound(
+                self._graph._length[index], self._fill_row(index))
+        return bound
 
 
 def effective_length(arc: Arc, division: TimeDivision, k: int) -> float:
@@ -140,37 +165,34 @@ def effective_length(arc: Arc, division: TimeDivision, k: int) -> float:
 
 
 def build_ael(graph: TdGraph) -> AelTable:
-    """Prefix-sum every arc's interval distances; O(mK) time and space.
-
-    A constant-kind row is one ``accumulate`` of speed times interval
-    width, packed with its window bound beside it. The landmark distance
-    lists, a few static Dijkstra runs, are added by ``replace``, so no
-    table is changed once built. It cannot fail: the graph checked that
-    every arc's prefix sums bound a search (``model.check_arc``).
+    """The prefix table of ``graph``, with its landmark distance lists (a
+    few static Dijkstra runs). Arc i's row, O(K) time and space, is filled
+    when a query first crosses the arc out of its departure interval, so a
+    one-shot query sums only the rows it reads; queries that share the
+    table across threads fill the same bits (see :class:`AelTable`). No
+    fill can fail: the graph checked that every arc's prefix sums bound a
+    search (``model.check_arc``).
     """
-    return replace(_prefix_table(graph), landmarks=build_landmarks(graph))
+    return _prefix_table(graph, build_landmarks(graph))
 
 
-def _prefix_table(graph: TdGraph) -> AelTable:
-    """:func:`build_ael` without the landmark lists. Each arc's window
-    bound is read off its list of sums before the list is packed into the
-    row: reading the packed row would box every entry again."""
-    rows, bounds = [], []
-    for arc in graph.arcs:
-        sums = _prefix_sums(arc.profile.values, graph.division)
-        bounds.append(_window_bound(arc.length, sums))
-        rows.append(array("d", sums))
-    return AelTable(rows, bounds)
+def _prefix_table(graph: TdGraph, landmarks: list | None = None) -> AelTable:
+    """The table of ``graph`` with ``landmarks``, filled on first use."""
+    table, missing = AelTable([], [], landmarks), [None] * graph.arc_count
+    vars(table).update(_rows=missing, _bounds=missing[:], _graph=graph,
+                       _row_length=graph.division.intervals)
+    return table
 
 
 def compute_q(arc: Arc, ael: AelTable, index: int) -> int:
     """Smallest integer Q such that every interval covers >= length/Q.
 
     Bounds the arrival search of :func:`bounded_fatt` to Q consecutive
-    intervals. Computed once per arc at preprocessing time. It cannot fail
-    on a table built from a graph, which checked each arc's coverage
-    (``model.check_arc``); on a row built by hand that breaks the rule it
-    raises ValueError: the arrival search needs finite, increasing rows.
+    intervals. A table built from a graph caches it, filled on first use
+    with the same bits by any query. It cannot fail on such a table, whose
+    graph checked each arc's coverage (``model.check_arc``); on a row built
+    by hand that breaks the rule it raises ValueError: the arrival search
+    needs finite, increasing rows.
     """
     return _window_bound(arc.length, _row(ael, index))
 
@@ -220,11 +242,11 @@ def bounded_fatt(
     per-arc bound makes that an O(1) check.
     """
     row = _row(ael, index)
-    if index >= len(ael.window_bounds):
+    if index >= len(ael._bounds):
         raise ValueError(f"prefix table has no window bound at index {index}")
     if q < 1:
         raise ValueError("window bound must be at least 1")
-    if q < ael.window_bounds[index]:
+    if q < ael._fill_bound(index):
         raise ValueError(
             f"window bound {q} too small: some interval covers less "
             f"than length/{q}"
@@ -289,14 +311,21 @@ def _checked_cross(arc: Arc, row: array[float] | None, division: TimeDivision,
                    kind: str, policy: str, tau: float, counter: OpCounter | None,
                    hint: int | None = None,
                    window: int | None = None) -> TraversalResult:
-    """The one door of the single-arc procedures and ``routing.traverse_arc``:
-    checks the policy, the ``kind`` profile, the departure and the length of
-    the prefix ``row`` it reads, locates the departure, runs :func:`_cross`,
-    counting into a fresh counter when ``counter`` is None, and locates the
-    arrival. ``hint`` seeds the departure's interval location."""
+    """The door of the single-arc procedures: checks the policy and the
+    ``kind`` profile with its coverage rule, then runs :func:`_cross_at`."""
     if policy not in POLICIES:
         raise ValueError(f"unknown horizon policy {policy!r}")
     _check_profile(arc, kind, division, policy)
+    return _cross_at(arc, row, division, kind, policy, tau, counter, hint, window)
+
+
+def _cross_at(arc: Arc, row: array[float] | None, division: TimeDivision,
+              kind: str, policy: str, tau: float, counter: OpCounter | None,
+              hint: int | None, window: int | None) -> TraversalResult:
+    """The door of ``routing.traverse_arc`` too, whose graph checked its arcs:
+    checks the departure and the length of the prefix ``row``, locates the
+    departure from ``hint``, runs :func:`_cross`, counting into a fresh
+    counter when ``counter`` is None, and locates the arrival."""
     _check_departure(tau)
     if row is not None:
         _check_row_length(row, division.intervals)
@@ -310,10 +339,10 @@ def _checked_cross(arc: Arc, row: array[float] | None, division: TimeDivision,
 
 
 def _row(ael: AelTable, index: int) -> array[float]:
-    """The table's prefix row at ``index``; a negative index is no row."""
-    if not 0 <= index < len(ael.rows):
+    """The table's prefix row at ``index``, filled on first use, if any."""
+    if not 0 <= index < len(ael._rows):
         raise ValueError(f"prefix table has no row at index {index}")
-    return ael.rows[index]
+    return ael._fill_row(index)
 
 
 def _check_departure(tau: float) -> None:

@@ -11,12 +11,16 @@ The same cases check the engine's pruning against a copy of each graph
 that prunes nothing: the answers are the same bits and every pruned
 relaxation is one crossing the copy computed. Their arcs check the O(1)
 bound of the coverage rule against its exact check, and their files check
-that loading, validation and ``build_ael`` give one verdict.
+that loading, validation and ``build_ael`` give one verdict. After any mix
+of queries, the rows and window bounds that a table fills on first use
+are the bits a table built whole holds.
 """
 
 import copy
 import math
+from array import array
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +40,7 @@ from tdroute import (
     loads,
     shortest_path_to,
     shortest_paths,
+    traverse_arc,
 )
 from tdroute.io_gen import _parse
 from tdroute.model import (_clears_coverage, _prefix_sums, _window_bound,
@@ -200,8 +205,11 @@ def compare_with_unpruned(case):
                 except ValueError as error:
                     # The graph refused every arc whose crossing could raise
                     # otherwise: only an arrival past the largest float still
-                    # raises, and pruning may skip that crossing.
-                    assert str(error) == "time instant must be finite, got inf"
+                    # raises, and the engine raises on it too.
+                    message = "time instant must be finite, got inf"
+                    assert str(error) == message
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        query(graph, table, *args)
                     continue
                 got = answer(query, graph, table, *args)
                 assert got is not None
@@ -222,8 +230,9 @@ def test_pruning_gives_the_unpruned_answers_bit_for_bit():
     pruned = []
 
     @given(cases())
-    # The arrival at node 1, 1e308 + 1e308 s, overflows. The unpruned copy
-    # raises on it; the engine prunes it, for no crossing beats 1e308 s.
+    # The arrival at node 1, 1e308 + 1e308 s, overflows, and so does its
+    # bound, 1e308 + 1e308 (1 - 1e-6) s. The engine prunes only on a finite
+    # bound, so it raises on the crossing, as the unpruned copy does.
     @example((CONSTANT, STATIC, [1.0], [(0, 1, 1e308, [1.0])], 1e308))
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     def check(case):
@@ -292,3 +301,35 @@ def test_loading_validation_and_the_table_give_one_verdict(case):
         assert errors
         return
     assert build_ael(graph).window_bounds == bounds
+
+
+@given(cases(), st.lists(st.tuples(st.integers(0, 2), st.integers(0, NODES - 1),
+                                   st.integers(-1, NODES - 1)), max_size=4))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_rows_filled_on_first_use_are_the_bits_of_a_whole_table(case, mix):
+    # Each query of the mix is one strategy's one-to-all tree from a source
+    # (target -1), its query to another node, or, when the target is the
+    # source, its crossing of an arc.
+    kind, policy, widths, arcs, departure = case
+    try:
+        graph = build(kind, policy, widths, arcs)
+    except ValueError:
+        return
+    table = build_ael(graph)
+    assert table._rows == table._bounds == [None] * graph.arc_count
+    strategies = STRATEGIES[kind]
+    for pick, source, target in mix:
+        strategy = strategies[pick % len(strategies)]
+        if target < 0:
+            answer(shortest_paths, graph, table, source, departure, strategy)
+        elif target != source or not graph.arc_count:
+            answer(shortest_path_to, graph, table, source, target, departure, strategy)
+        else:
+            arc = source % graph.arc_count
+            answer(traverse_arc, graph, table, arc, departure, strategy)
+    assert len(table.rows) == len(table.window_bounds) == graph.arc_count
+    for arc, row, bound in zip(graph.arcs, table.rows, table.window_bounds):
+        sums = _prefix_sums(arc.profile.values, graph.division)
+        assert row.typecode == "d"
+        assert row.tobytes() == array("d", sums).tobytes()
+        assert bound == _window_bound(arc.length, sums)

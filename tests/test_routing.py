@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 import re
+import sys
+import threading
 from array import array
 from collections import Counter
 
@@ -35,7 +37,8 @@ from tdroute import (
     shortest_paths,
     traverse_arc,
 )
-from tdroute import routing
+from tdroute import model, routing, traversal
+from tdroute.model import _clears_coverage, _prefix_sums, _window_bound
 from tdroute.landmarks import (
     LANDMARKS,
     build_landmarks,
@@ -760,7 +763,7 @@ class TestSearchedExit:
             raise AssertionError("the engine called the single-arc door")
 
         monkeypatch.setattr(routing, "_cross", counted)
-        monkeypatch.setattr(routing, "_checked_cross", door)
+        monkeypatch.setattr(routing, "_cross_at", door)
         queries = ((0, 0.0), (12, 1800.0), (24, 3600.0),
                    (0, graph.division.horizon))
         stats = [
@@ -800,6 +803,22 @@ class TestPruning:
     """The engine skips a crossing out of its departure interval when the
     arc's least crossing time, shrunk by ``landmarks.SCALE``, cannot improve
     the label it leads to."""
+
+    def test_an_arrival_past_the_largest_float_raises_as_in_traverse_arc(self):
+        # Both the crossing and its bound, 1e308 + 1e308 (1 - 1e-6) s,
+        # overflow. The engine prunes only on a finite bound, so the kernel
+        # computes the crossing, and its arrival raises as traverse_arc's does.
+        graph = loads("tdgraph 1 constant static\ndivision 1 0 1\nnodes 2\n"
+                      "arcs 1\narc 0 1 1e308 1\n")
+        table = build_ael(graph)
+        message = "^time instant must be finite, got inf$"
+        for strategy in strategies_for(CONSTANT):
+            with pytest.raises(ValueError, match=message):
+                traverse_arc(graph, table, 0, 1e308, strategy)
+            with pytest.raises(ValueError, match=message):
+                shortest_paths(graph, table, 0, 1e308, strategy)
+            with pytest.raises(ValueError, match=message):
+                shortest_path_to(graph, table, 0, 1, 1e308, strategy)
 
     def test_the_margin_keeps_a_crossing_computed_below_its_least_time(self):
         # At 5.5 m/s throughout, arc 1's 50.189 m compute an ulp below
@@ -938,3 +957,103 @@ class TestPinnedOutput:
         # A change to how the kernel searches moves the counters in the
         # two digests above, never this one.
         assert corpus_digest(counters=False) == COUNTER_FREE_DIGEST
+
+
+class TestRowsOnFirstUse:
+    """A table built from a graph fills an arc's prefix row, and its window
+    bound, the first time a crossing out of the departure interval reads
+    it; the public reads of ``rows`` and ``window_bounds`` fill the rest."""
+
+    @staticmethod
+    def whole(graph):
+        """The rows and window bounds of every arc, summed afresh."""
+        sums = [_prefix_sums(arc.profile.values, graph.division) for arc in graph.arcs]
+        return ([array("d", row) for row in sums],
+                [_window_bound(arc.length, row) for arc, row in zip(graph.arcs, sums)])
+
+    def test_a_table_fills_only_the_rows_its_queries_read(self):
+        graph = generate(GeneratorConfig(
+            nodes=60, avg_degree=3.0, intervals=48, horizon=3600.0,
+            speed_range=(5.0, 30.0), length_range=(50.0, 2000.0), seed=4,
+        ))
+        m = graph.arc_count
+        table = build_ael(graph)
+        assert table._rows == table._bounds == [None] * m
+        shortest_paths(graph, table, 0, 0.0, "fatt")
+        filled = sum(row is not None for row in table._rows)
+        assert 0 < filled < m
+        assert table._bounds == [None] * m
+        shortest_paths(graph, table, 0, 0.0, "b-fatt")
+        assert sum(row is not None for row in table._rows) == filled
+        assert 0 < sum(bound is not None for bound in table._bounds) <= filled
+        rows, bounds = self.whole(graph)
+        assert table.rows == rows and table.window_bounds == bounds
+        assert table._rows == rows and table._bounds == bounds
+
+    def test_traverse_arc_does_not_check_the_graph_arcs_again(self, monkeypatch):
+        # Speeds 1e13 apart: the O(1) bound does not clear the arc, so every
+        # check of it sums its prefix row. The graph checked it; traverse_arc
+        # sums the row once, to fill it, while fatt checks the arc each call.
+        division = TimeDivision((0.0, 1.0, 2.0))
+        arc = Arc(0, 1, 1.0, SpeedProfile(CONSTANT, (1e-13, 1.0)))
+        assert not _clears_coverage(arc.profile, arc.length, division)
+        graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
+        table = build_ael(graph)
+        sums = []
+
+        def counted(values, division):
+            sums.append(values)
+            return _prefix_sums(values, division)
+
+        monkeypatch.setattr(model, "_prefix_sums", counted)
+        monkeypatch.setattr(traversal, "_prefix_sums", counted)
+        departures = (0.0, 0.5, 3.0)
+        for strategy in strategies_for(CONSTANT):
+            for tau in departures:
+                traverse_arc(graph, table, 0, tau, strategy)
+        assert len(sums) == 1
+        for tau in departures:
+            fatt(arc, table, 0, division, STATIC, tau)
+        assert len(sums) == 1 + len(departures)
+
+    def test_two_threads_over_one_fresh_table_give_the_one_thread_answers(self):
+        graph = generate(GeneratorConfig(
+            nodes=80, avg_degree=3.0, intervals=96, horizon=3600.0,
+            speed_range=(5.0, 30.0), length_range=(50.0, 2000.0), seed=6,
+        ))
+        queries = [(source, departure, strategy) for source in range(0, 80, 9)
+                   for departure in (0.0, 1234.5) for strategy in ("fatt", "b-fatt")]
+
+        def run(table):
+            out = []
+            for source, departure, strategy in queries:
+                tree = shortest_paths(graph, table, source, departure, strategy)
+                path = shortest_path_to(graph, table, source, 79 - source,
+                                        departure, strategy)
+                out.append(([a.hex() for a in tree.arrival], tree.predecessor,
+                            tree.arrival_interval, tree.stats,
+                            path.path, path.arrival.hex(), path.stats))
+            return out
+
+        want = run(build_ael(graph))
+        shared = build_ael(graph)
+        got = [None, None]
+
+        def worker(i):
+            got[i] = run(shared)
+
+        # Switch threads often, so that they interleave inside the fills.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want, want]
+        rows, bounds = self.whole(graph)
+        assert shared.rows == rows and shared.window_bounds == bounds
