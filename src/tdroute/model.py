@@ -123,9 +123,12 @@ class SpeedProfile:
         return intervals if self.kind == CONSTANT else intervals + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
-    """Directed road segment with a fixed length and a speed profile."""
+    """Directed road segment with a fixed length and a speed profile.
+
+    Slotted, like :class:`SpeedProfile`: a graph holds one arc per road.
+    """
 
     src: int
     dst: int
@@ -353,13 +356,17 @@ def _prefix_sums(values: array[float], division: TimeDivision) -> list[float]:
         for k in range(len(points) - 1)))
 
 
-# Speeds and prefix rows are packed by one struct.Struct per length: the same
-# doubles as array('d', values), in about half the time.
+# Speeds and prefix rows are packed by one struct.Struct per length into an
+# array of exactly their doubles (repetition allocates no spare capacity), in
+# place: the same doubles as array('d', values), with no bytes copy between.
 _packer = lru_cache(maxsize=64)(lambda count: struct.Struct(f"{count}d"))
+_ZERO = array("d", [0.0])
 
 
 def _pack(values: Sequence[float]) -> array[float]:
-    return array("d", _packer(len(values)).pack(*values))
+    packed = _ZERO * len(values)
+    _packer(len(values)).pack_into(packed, 0, *values)
+    return packed
 
 
 def _window_bound(length: float, row: Sequence[float]) -> int:

@@ -27,6 +27,7 @@ from tdroute import (
     att_linear,
     bounded_fatt,
     build_ael,
+    dumps,
     fatt,
     generate,
     l_fatt,
@@ -38,7 +39,7 @@ from tdroute import (
     traverse_arc,
 )
 from tdroute import model, routing, traversal
-from tdroute.model import _clears_coverage, _prefix_sums, _window_bound
+from tdroute.model import _clears_coverage, _pack, _prefix_sums, _window_bound
 from tdroute.landmarks import (
     LANDMARKS,
     build_landmarks,
@@ -990,6 +991,39 @@ class TestRowsOnFirstUse:
         assert table.rows == rows and table.window_bounds == bounds
         assert table._rows == rows and table._bounds == bounds
 
+    def test_a_second_read_of_a_whole_table_fills_nothing(self, monkeypatch):
+        graph = generate(GeneratorConfig(
+            nodes=60, avg_degree=3.0, intervals=48, horizon=3600.0,
+            speed_range=(5.0, 30.0), length_range=(50.0, 2000.0), seed=4,
+        ))
+        calls = Counter()
+
+        def spying(name):
+            fill = getattr(AelTable, name)
+
+            def spy(table, index):
+                calls[name] += 1
+                return fill(table, index)
+            return spy
+
+        for name in ("_fill_row", "_fill_bound"):
+            monkeypatch.setattr(AelTable, name, spying(name))
+        built = build_ael(graph)
+        shortest_paths(graph, built, 0, 0.0, "b-fatt")
+        rows, bounds = self.whole(graph)
+        for table in (built, AelTable(rows, bounds)):
+            calls.clear()
+            first = table.rows, table.window_bounds
+            assert calls["_fill_bound"] == len(bounds)
+            calls.clear()
+            second = table.rows, table.window_bounds
+            assert not calls
+            assert first == second == (rows, bounds)
+            # Each read is a list of its own: editing it leaves the table be.
+            second[0].clear()
+            second[1].clear()
+            assert (table.rows, table.window_bounds) == (rows, bounds)
+
     def test_traverse_arc_does_not_check_the_graph_arcs_again(self, monkeypatch):
         # Speeds 1e13 apart: the O(1) bound does not clear the arc, so every
         # check of it sums its prefix row. The graph checked it; traverse_arc
@@ -1057,3 +1091,50 @@ class TestRowsOnFirstUse:
         assert got == [want, want]
         rows, bounds = self.whole(graph)
         assert shared.rows == rows and shared.window_bounds == bounds
+
+
+class TestExactStorage:
+    """Every speed list and prefix row is one array of exactly its doubles:
+    8 B each plus the array's header, with no spare capacity."""
+
+    @staticmethod
+    def exact(arrays):
+        header = sys.getsizeof(array("d"))
+        return all(sys.getsizeof(a) == header + 8 * len(a) for a in arrays)
+
+    @staticmethod
+    def graphs():
+        config = GeneratorConfig(
+            nodes=40, avg_degree=3.0, intervals=96, horizon=86400.0,
+            speed_range=(5.0, 30.0), length_range=(50.0, 2000.0), seed=3,
+        )
+        made = generate(config)
+        linear = generate(GeneratorConfig(**{**vars(config), "kind": LINEAR,
+                                             "policy": PERIODIC}))
+        return (made, linear, loads(dumps(made)), loads(dumps(linear)),
+                three_node_graph())
+
+    def test_speeds_of_loaded_generated_and_built_graphs(self):
+        for graph in self.graphs():
+            assert self.exact(graph._speeds)
+            assert self.exact(arc.profile.values for arc in graph.arcs)
+
+    def test_rows_filled_by_the_engine_and_by_a_read(self):
+        for graph in self.graphs():
+            table = build_ael(graph)
+            strategy = "fatt" if graph.kind == CONSTANT else "l-fatt"
+            shortest_paths(graph, table, 0, 1000.0, strategy)
+            filled = [row for row in table._rows if row is not None]
+            assert filled and self.exact(filled)
+            assert self.exact(table.rows)
+
+    @pytest.mark.parametrize("count", [1, 3, 96, 1440])
+    def test_pack_gives_the_doubles_of_an_array(self, count):
+        awkward = (-0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308,
+                   0.1, math.inf, math.nan)
+        values = [awkward[i % len(awkward)] * (1 + i // len(awkward))
+                  for i in range(count)]
+        packed = _pack(values)
+        assert packed.typecode == "d"
+        assert packed.tobytes() == array("d", values).tobytes()
+        assert self.exact([packed])
