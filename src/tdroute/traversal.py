@@ -118,20 +118,18 @@ class AelTable:
     Each row is one ``array('d')``. A table built from a graph
     (:func:`build_ael`) fills arc i's row when a crossing first reads it,
     and its window bound when a windowed search first does; reading
-    ``rows`` or ``window_bounds`` fills the rest, once: a later read of a
-    list that a read has filled whole is one list copy. A filled entry is a
-    pure function of the graph, stored by one atomic list-slot store and
-    never cleared: queries that fill the same row store the same bits, so
-    they may share a table across threads. A table built from ``rows``
-    records the length they share, so the route engine checks all rows'
-    lengths in O(1) per query.
+    ``rows`` or ``window_bounds`` fills the rest. A filled entry is a pure
+    function of the graph, stored by one atomic list-slot store: queries
+    that fill the same row store the same bits, so they may share a table
+    across threads. A table built from ``rows`` records the length they
+    share, so the route engine checks all rows' lengths in O(1) per query.
     """
 
     def __init__(self, rows: list[array[float]], window_bounds: list[int] | None = None,
                  landmarks: list[tuple[list[float], list[float]]] | None = None) -> None:
         lengths = set(map(len, rows))
         vars(self).update(_rows=rows, _bounds=window_bounds or [], _graph=None,
-                          landmarks=landmarks or [], _whole=set(),
+                          landmarks=landmarks or [],
                           _row_length=lengths.pop() if len(lengths) == 1 else None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -139,21 +137,11 @@ class AelTable:
 
     @property
     def rows(self) -> list[array[float]]:
-        return self._filled("_rows", self._fill_row)
+        return list(map(self._fill_row, range(len(self._rows))))
 
     @property
     def window_bounds(self) -> list[int]:
-        return self._filled("_bounds", self._fill_bound)
-
-    def _filled(self, name: str, fill: Callable[[int], object]) -> list:
-        """A copy of the list ``name`` with every entry filled. The name joins
-        ``_whole`` only once each entry is, and no entry is cleared, so a read
-        that finds it there copies the list and calls no fill."""
-        if name in self._whole:
-            return vars(self)[name][:]
-        entries = list(map(fill, range(len(vars(self)[name]))))
-        self._whole.add(name)
-        return entries
+        return list(map(self._fill_bound, range(len(self._bounds))))
 
     def _fill_row(self, index: int) -> array[float]:
         if (row := self._rows[index]) is None:

@@ -991,39 +991,6 @@ class TestRowsOnFirstUse:
         assert table.rows == rows and table.window_bounds == bounds
         assert table._rows == rows and table._bounds == bounds
 
-    def test_a_second_read_of_a_whole_table_fills_nothing(self, monkeypatch):
-        graph = generate(GeneratorConfig(
-            nodes=60, avg_degree=3.0, intervals=48, horizon=3600.0,
-            speed_range=(5.0, 30.0), length_range=(50.0, 2000.0), seed=4,
-        ))
-        calls = Counter()
-
-        def spying(name):
-            fill = getattr(AelTable, name)
-
-            def spy(table, index):
-                calls[name] += 1
-                return fill(table, index)
-            return spy
-
-        for name in ("_fill_row", "_fill_bound"):
-            monkeypatch.setattr(AelTable, name, spying(name))
-        built = build_ael(graph)
-        shortest_paths(graph, built, 0, 0.0, "b-fatt")
-        rows, bounds = self.whole(graph)
-        for table in (built, AelTable(rows, bounds)):
-            calls.clear()
-            first = table.rows, table.window_bounds
-            assert calls["_fill_bound"] == len(bounds)
-            calls.clear()
-            second = table.rows, table.window_bounds
-            assert not calls
-            assert first == second == (rows, bounds)
-            # Each read is a list of its own: editing it leaves the table be.
-            second[0].clear()
-            second[1].clear()
-            assert (table.rows, table.window_bounds) == (rows, bounds)
-
     def test_traverse_arc_does_not_check_the_graph_arcs_again(self, monkeypatch):
         # Speeds 1e13 apart: the O(1) bound does not clear the arc, so every
         # check of it sums its prefix row. The graph checked it; traverse_arc
