@@ -161,7 +161,9 @@ class TdGraph:
     here; the speeds entry is the profile's own array, not a copy. The
     least crossing time, ``length / top speed``, bounds every crossing of
     the arc from below. ``_least`` is the one list of it: the engine prunes
-    by it and the landmarks weigh arcs with it, and neither edits it. Each
+    by it and the landmarks weigh arcs with it, and neither edits it.
+    ``_low`` holds each arc's least span (:func:`_least_span`), which bounds
+    the arrival search's bracket; it is one ``array('d')``, 8 B an arc. Each
     arc is checked against the graph with :func:`check_arc` as it is
     grouped, so the first bad arc raises.
     """
@@ -178,6 +180,7 @@ class TdGraph:
     _length: list[float] = field(init=False, repr=False, compare=False)
     _speeds: list[array[float]] = field(init=False, repr=False, compare=False)
     _least: list[float] = field(init=False, repr=False, compare=False)
+    _low: array[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
@@ -193,6 +196,7 @@ class TdGraph:
         dst = [arc.dst + 0 for arc in arcs]
         length = [arc.length * 1.0 for arc in arcs]
         least = [arc.length / arc.profile._fastest for arc in arcs]
+        low = array("d", (_least_span(arc.profile, self.division) for arc in arcs))
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
         for index, arc in enumerate(arcs):
             check_arc(arc, self.nodes, self.kind, self.division, self.policy)
@@ -204,6 +208,7 @@ class TdGraph:
         object.__setattr__(self, "_length", length)
         object.__setattr__(self, "_speeds", speeds)
         object.__setattr__(self, "_least", least)
+        object.__setattr__(self, "_low", low)
 
     @property
     def arc_count(self) -> int:
@@ -311,7 +316,7 @@ def _clears_coverage(profile: SpeedProfile, length: float,
     2^1000 keep T^2 and the slope finite; low > 2^-50 dwarfs underflow
     (2^-1075 times either)."""
     narrowest, horizon = division._narrowest, division.breakpoints[-1]
-    low = profile._slowest * narrowest
+    low = _least_span(profile, division)
     high = profile._fastest * horizon
     if profile.kind == LINEAR:
         if not (horizon < 2.0**500 and profile._fastest / narrowest < 2.0**1000
@@ -320,6 +325,13 @@ def _clears_coverage(profile: SpeedProfile, length: float,
         high *= max(1.0, horizon / narrowest)
     return (0.0 < low and high < 2.0**1000 and high * 2.0**-40 <= low
             and length / low < 2.0**1000)
+
+
+def _least_span(profile: SpeedProfile, division: TimeDivision) -> float:
+    """slowest speed x narrowest width: no interval adds less to the arc's
+    prefix row, in exact arithmetic, for either kind (a linear span is its
+    interval's mean speed times its width). It may round to 0 or inf."""
+    return profile._slowest * division._narrowest
 
 
 def linear_coeffs(

@@ -337,6 +337,7 @@ def _run(
     lengths = graph._length
     speeds = graph._speeds
     least = graph._least
+    spans = graph._low
     n = graph.nodes
     arrival = [UNREACHABLE] * n
     predecessor: list[int | None] = [None] * n
@@ -416,7 +417,7 @@ def _run(
                     division, policy, k, t, first,
                     None if windows is None
                     else windows[arc_index] or ael._fill_bound(arc_index),
-                    stats,
+                    spans[arc_index], stats,
                 )
                 candidate = label + cost
                 # The door's locate_interval call, inline while the hint holds

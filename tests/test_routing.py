@@ -698,8 +698,11 @@ class TestSearchedExit:
         # At 5 m/s through 10 s intervals, arc 0 covers its 100 m by the end
         # of interval 1 and arrives on the breakpoint 20.0, which interval 2
         # holds; arc 1 covers 150 m and arrives on the horizon 30.0. The
-        # search stops in the interval that ends there, so the loop's
-        # bracket check fails and locate_interval places the arrival.
+        # search stops in the interval that ends there: arc 0's 50 m left is
+        # its least span, 5 m/s for 10 s, so its bracket is interval 1 alone,
+        # and arc 1's interpolated guess clamps to the bracket's end,
+        # interval 2. So the loop's check of the kernel's interval fails and
+        # locate_interval places the arrival.
         # Arcs 2 and 3 then arrive past the horizon or depart on it; the
         # kernel's hint there is the static tail's last interval or the
         # periodic wrap's interval 0, and the loop places those arrivals too.
@@ -774,12 +777,12 @@ class TestSearchedExit:
         # Every relaxation here, inside the horizon and past it, leaves its
         # departure interval: the distance the loop passes as covered there
         # falls short of the arc. Each not pruned is one kernel call.
-        assert all(first < length for _, _, length, *_, first, _, _ in calls)
+        assert all(first < length for _, _, length, *_, first, _, _, _ in calls)
         assert len(calls) == sum(s.traversal_calls for s in stats) == 128
         # The counters of the three in-horizon queries.
         assert [(s.settled, s.traversal_calls, s.probes, s.steps)
-                for s in stats[:3]] == [(25, 33, 189, 0), (25, 34, 230, 0),
-                                    (25, 32, 196, 0)]
+                for s in stats[:3]] == [(25, 33, 57, 0), (25, 34, 63, 0),
+                                    (25, 32, 64, 0)]
 
     def test_a_span_that_is_nan_is_refused_at_load(self):
         # A flat linear arc over one 1e200 s interval: its slope 0 times the
@@ -876,10 +879,10 @@ class TestPruning:
                 assert_tree_crossings(graph, table, strategy, result)
 
 
-ENGINE_DIGEST = "1f6c408c5926cb5ff70a15f1d9add4fb7499aa247b43edd6fd8b578a646124c8"
+ENGINE_DIGEST = "92b9fcca58171dfdd607321cb407b0b2fc75952df2960c6a79fe2d5ad7482539"
 # The same corpus without the point-to-point stats: every one-to-all result,
 # every arc traversal and every point-to-point path and arrival.
-ANSWER_DIGEST = "718e81f130899cc4a8863823543dbce13b99b2353dc85e48b86ada64b7d1c14b"
+ANSWER_DIGEST = "8bba051765fcb206d9d736825fbaa3f1618088da9273694af2bae6e6548c9056"
 # The same corpus with every counter left out: the answers alone.
 COUNTER_FREE_DIGEST = "d62e22ad42cef347386ddc40869dd5e53dcd90be82f03b96cd2a402cb8bef1aa"
 

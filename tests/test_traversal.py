@@ -35,7 +35,9 @@ from tdroute import (
     l_fatt,
     locate_interval,
     sample_graph,
+    shortest_paths,
 )
+from tdroute import traversal
 from tdroute.model import _linear_span, _prefix_sums, speed_line
 from tdroute.traversal import _KINDS, _cross, _travel_time
 from support import (
@@ -60,18 +62,19 @@ def constant_setup(rng, policy):
     return graph.arcs[0], graph.division, build_ael(graph)
 
 
-def search_arrival(row, start, a, hi, counter):
-    """The kernel's arrival search over intervals ``start``..``hi`` as
-    (interval j, distance consumed before j). The intervals last one second
-    each and the speed is 1 m/s. The crossing of ``a`` m departs at the end
-    of interval start - 1 under static, or for start 0 at the end of the
-    period under periodic, with nothing covered there; so the searched cost
-    is j - start plus the residual distance."""
+def search_arrival(row, start, a, hi, counter, least_span=0.0):
+    """The kernel's arrival search over intervals ``start``..``hi``, its
+    bracket capped by ``least_span`` (0: not at all), as (interval j,
+    distance consumed before j). The intervals last one second each and the
+    speed is 1 m/s. The crossing of ``a`` m departs at the end of interval
+    start - 1 under static, or for start 0 at the end of the period under
+    periodic, with nothing covered there; so the searched cost is j - start
+    plus the residual distance."""
     points = tuple(map(float, range(len(row) + 1)))
     k, policy = (start - 1, STATIC) if start else (len(row) - 1, PERIODIC)
     cost, stop = _cross(_KINDS[CONSTANT], (1.0,) * len(row), a, row,
                         TimeDivision(points), policy, k, points[k + 1], 0.0,
-                        hi - start, counter)
+                        hi - start, least_span, counter)
     return stop, a - (cost - (stop - start))
 
 
@@ -140,6 +143,22 @@ class TestAelTable:
                         total = _prefix_sums(arc.profile.values, division)[-1]
                         assert total.hex() == row[-1].hex()
 
+    def test_a_row_built_by_hand_must_bound_a_search(self):
+        # Over four 1 s intervals at 1 m/s, a 3.5 m arc ends in interval 3.
+        # Taken unchecked, the first three bad rows below broke that search:
+        # the first raised "cannot convert float NaN to integer", the second
+        # answered from a NaN entry and the third answered 4.5 s. The table
+        # names the row instead; the whole row before it passes.
+        whole = array("d", [1.0, 2.0, 3.0, 4.0])
+        assert fatt(make_arc(3.5, CONSTANT, (1.0,) * 4), AelTable([whole]), 0,
+                    TimeDivision((0.0, 1.0, 2.0, 3.0, 4.0)), STATIC, 0.0).cost == 3.5
+        message = "^prefix row 1 is not finite, positive and strictly increasing$"
+        for bad in ([1.0, -math.inf, 3.0, 4.0], [1.0, math.nan, 3.0, 4.0],
+                    [1.0, 3.0, 2.0, 4.0], [-1.0, 2.0, 3.0, 4.0],
+                    [1.0, 2.0, 3.0, math.inf], [1.0, 2.0, 2.0, 4.0]):
+            with pytest.raises(ValueError, match=message):
+                AelTable([whole, array("d", bad)])
+
     def test_rows_strictly_increasing(self):
         rng = random.Random(2)
         for _ in range(100):
@@ -190,16 +209,17 @@ class TestComputeQ:
     def test_a_row_whose_total_overflows_raises(self):
         # 7 s at 1e308 m/s: the row is [inf], whose only step is not small.
         # The graph refuses the arc, so no table built from a graph holds
-        # the row; compute_q still refuses it in a table built by hand.
+        # the row, and a table built by hand refuses it too.
         division = TimeDivision((0.0, 7.0))
         arc = make_arc(1.0, CONSTANT, (1e308,))
-        table = AelTable(rows=[array("d", _prefix_sums(arc.profile.values, division))])
-        assert [list(row) for row in table.rows] == [[math.inf]]
+        row = _prefix_sums(arc.profile.values, division)
+        assert row == [math.inf]
         message = r"^the distance the arc covers by the horizon overflows$"
         with pytest.raises(ValueError, match=message):
-            compute_q(arc, table, 0)
-        with pytest.raises(ValueError, match=message):
             TdGraph(2, division, STATIC, CONSTANT, (arc,))
+        message = "^prefix row 0 is not finite, positive and strictly increasing$"
+        with pytest.raises(ValueError, match=message):
+            AelTable(rows=[array("d", row)])
 
 
 class TestAtt:
@@ -245,15 +265,10 @@ class TestAtt:
             with pytest.raises(ValueError, match="^an interval covers only 0.0 m"):
                 procedure(arc, division, PERIODIC, 0.0)
         # A search reads the period's distance off its prefix row, which a
-        # table built by hand may hold as 0 for an arc that covers 1 m.
-        division = TimeDivision((0.0, 1.0))
-        for procedure, arc in (
-            (fatt, make_arc(2.0, CONSTANT, (1.0,))),
-            (l_fatt, make_arc(2.0, LINEAR, (1.0, 1.0))),
-        ):
-            table = AelTable([array("d", [0.0])])
-            with pytest.raises(ValueError, match="^a period covers no distance$"):
-                procedure(arc, table, 0, division, PERIODIC, 0.0)
+        # table built by hand refuses to hold as 0.
+        message = "^prefix row 0 is not finite, positive and strictly increasing$"
+        with pytest.raises(ValueError, match=message):
+            AelTable([array("d", [0.0])])
 
     def test_departure_past_horizon(self):
         assert att(DEMO_ARC, DEMO.division, STATIC, 100.0).cost == 17.0
@@ -401,19 +416,28 @@ class TestFatt:
             assert counter.probes <= budget
             assert counter.steps == 0
 
-    def test_a_tie_met_inside_the_search_arrives_on_the_breakpoint(self):
+    def test_a_tie_met_inside_the_search_arrives_on_the_breakpoint(self, monkeypatch):
         # Integer speeds over 1 s intervals give integer spans, so each
         # length below ends exactly on breakpoint j + 1: the distance left
         # equals a prefix entry, and intervals j and j + 1 both pass the
-        # accept test. j > k + 1 puts the tie past the first candidate.
-        # Either interval gives the same bits here; these are the
-        # bisecting kernel's.
+        # accept test. j > k + 1 puts the tie past the departure's interval,
+        # and the arc's least span, 1 m, leaves the bracket wider than one
+        # interval. Either interval gives the same bits here. The search
+        # meets the tie at j on some lengths and at j + 1 on others, at its
+        # first probe or later; the door's locate_interval hint shows which.
         rng = random.Random(23)
         intervals = 16
         division = TimeDivision(tuple(map(float, range(intervals + 1))))
         speeds = tuple(float(rng.randint(1, 9)) for _ in range(intervals))
         arc_at = lambda length: make_arc(length, CONSTANT, speeds)
         horizon = division.horizon
+        hints = []
+
+        def spy(division, t, policy, hint=None):
+            hints.append(hint)
+            return locate_interval(division, t, policy, hint)
+
+        monkeypatch.setattr(traversal, "locate_interval", spy)
         for policy in (STATIC, PERIODIC):
             table = build_ael(TdGraph(2, division, policy, CONSTANT,
                                       (arc_at(1.0),)))
@@ -427,13 +451,16 @@ class TestFatt:
                           for tau, length, end in cases]
                 cases += [(horizon - 0.5, speeds[-1] * 0.5 + row[j], horizon + j + 1.0)
                           for j in range(1, intervals - 1)]
+            met = Counter()
             for tau, length, end in cases:
                 counter = OpCounter()
                 result = fatt(arc_at(length), table, 0, division, policy, tau,
                               counter=counter)
-                assert counter.probes >= 2
                 assert result.cost == end - tau
                 assert result.arrival_interval == int(end) % intervals
+                entered = hints.pop() == result.arrival_interval
+                met[entered, counter.probes > 1] += 1
+            assert len(met) == 4, met
 
 
 class TestBoundedFatt:
@@ -659,12 +686,13 @@ class TestSearchArrival:
             start = rng.randrange(len(row))
             base = row[start - 1] if start else 0.0
             a = rng.uniform(0.0, row[-1] - base)
-            stop, consumed = search_arrival(row, start, a, len(row) - 1, counter)
+            stop, consumed = search_arrival(row, start, a, len(row) - 1, counter,
+                                            min(spans))
             assert start <= stop <= len(row) - 1
             residual = a - consumed
             assert 0.0 <= residual
             assert residual <= row[stop] - (row[stop - 1] if stop else 0.0) + 1e-9
-        assert counter == OpCounter(probes=3660)
+        assert counter == OpCounter(probes=2767)
 
     def test_boundary_tie_lands_with_zero_residual(self):
         row = [100.0, 130.0, 250.0, 350.0]
@@ -720,7 +748,9 @@ class TestSearchArrival:
 class TestSearchBudget:
     """Rows built against interpolation, whose guesses land far from the
     end: each search still takes at most bisection's worst case plus one
-    probe, and finds the interval bisection finds."""
+    probe, and finds the interval bisection finds, whether its bracket is
+    capped by the row's least span, by a span that overstates it (so the
+    capped end fails its check and the search falls back), or not at all."""
 
     @staticmethod
     def rows(k):
@@ -734,17 +764,19 @@ class TestSearchBudget:
             "alternating": [1e6 if j % 2 else 1.0 for j in range(k)],
             "equal": [1.0] * k,
         }
-        return {name: list(accumulate(spans)) for name, spans in shapes.items()}
+        return {name: (list(accumulate(spans)), min(spans))
+                for name, spans in shapes.items()}
 
     def test_every_target_within_bisections_worst_case_plus_one(self):
         sizes = sorted({*range(2, 33), *(2**i + d for i in range(6, 13)
                                          for d in (-1, 0, 1) if 2**i + d <= 4096)})
+        fell_back = capped = 0
         for k in sizes:
             points = tuple(map(float, range(k + 1)))
             division = TimeDivision(points)
             speeds = (1.0,) * k
             q = max(1, k // 3)
-            for name, row in self.rows(k).items():
+            for name, (row, least) in self.rows(k).items():
                 packed = array("d", row)
                 for window, hi, budget in (
                     (None, k - 1, math.ceil(math.log2(k)) + 2),
@@ -755,12 +787,49 @@ class TestSearchBudget:
                         # at the horizon under periodic, the search starts
                         # at interval 0 with the whole length left.
                         rest = ((row[j - 1] if j else 0.0) + row[j]) / 2.0
-                        counter = OpCounter()
-                        _, stop = _cross(_KINDS[CONSTANT], speeds, rest, packed,
-                                         division, PERIODIC, k - 1, points[-1],
-                                         0.0, window, counter)
-                        assert stop == bisect_left(row, rest) == j, (name, k, j)
-                        assert counter.probes <= budget, (name, k, window, j)
+                        for span in (0.0, least, 3.0 * least):
+                            counter = OpCounter()
+                            _, stop = _cross(_KINDS[CONSTANT], speeds, rest, packed,
+                                             division, PERIODIC, k - 1, points[-1],
+                                             0.0, window, span, counter)
+                            assert stop == bisect_left(row, rest) == j, (name, k, j)
+                            assert counter.probes <= budget, (name, k, window, j)
+                        # Whether the true span caps the bracket short of hi,
+                        # and whether the overstated one caps it short of j.
+                        capped += int(rest / least) < hi
+                        fell_back += int(rest / (3.0 * least)) < j
+        # Both paths ran often (42,278 and 41,682 of 138,935 targets).
+        assert capped > 40_000 and fell_back > 40_000, (capped, fell_back)
+
+    def test_a_span_out_of_range_leaves_the_bracket_to_the_window(self):
+        # A span of 0, subnormal or inf, or one far off the row's steps,
+        # neither divides by 0, truncates inf nor reads past the window.
+        spans = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
+        row, k = list(accumulate(spans)), len(spans)
+        points = tuple(map(float, range(k + 1)))
+        for span in (0.0, 5e-324, 1e-300, 1e300, math.inf):
+            for window in (None, 3):
+                for j in range(k if window is None else window + 1):
+                    rest = ((row[j - 1] if j else 0.0) + row[j]) / 2.0
+                    _, stop = _cross(_KINDS[CONSTANT], (1.0,) * k, rest,
+                                     array("d", row), TimeDivision(points), PERIODIC,
+                                     k - 1, points[-1], 0.0, window, span, OpCounter())
+                    assert stop == bisect_left(row, rest) == j, (span, window, j)
+        # The slowest speed and the narrowest interval lie in different
+        # intervals here, each span is 1e-200 m, and their product, the
+        # arc's least span, underflows to 0: the graph keeps the arc, and
+        # its searches answer as its scans do.
+        division = TimeDivision((0.0, 1e-200, 1.0))
+        arc = make_arc(1.5e-200, CONSTANT, (1.0, 1e-200))
+        graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
+        assert list(graph._low) == [0.0]
+        table = build_ael(graph)
+        want = att(arc, division, STATIC, 0.0)
+        assert want.cost == 0.5 + 1e-200
+        assert fatt(arc, table, 0, division, STATIC, 0.0) == want
+        for strategy in ("att", "fatt", "b-fatt"):
+            result = shortest_paths(graph, table, 0, 0.0, strategy)
+            assert result.arrival[1] == want.cost
 
 
 class TestFifoProperty:
@@ -842,7 +911,7 @@ class TestInterpolation:
 # SHA-256 of every strategy's exact output on pinned_corpus(). The
 # cross-strategy tests above compare at rel 1e-9; this one fails on any
 # changed bit of a cost, arrival interval, probe count or step count.
-PINNED_DIGEST = "80e0881097e9e73e5f00a2460f66a5aa2e895c82344f9dc2a132260460abaa70"
+PINNED_DIGEST = "e2ca65771d15a940cf8d3696a95b45faad5439b8f6b8a06ae380d253a8ecc92f"
 # The same corpus with the probe and step counts left out.
 PINNED_ANSWER_DIGEST = "4eadcbd2f3d396dbebfc7fff7fade2ce8cbc5c1b4f72c0fe54663807c38a07c2"
 
