@@ -226,8 +226,8 @@ def _plan(
     """The strategy (default: the graph kind's unwindowed search, or its scan
     when not ``searches``) and its table, built in one step: the landmark
     lists that A* reads toward a ``target``, and for a search the prefix
-    rows and window bounds, filled on first use. A one-to-all scan gets no
-    table."""
+    rows and window bounds, each filled when a crossing first needs a
+    search. A one-to-all scan gets no table."""
     if strategy is None:
         default = (graph.kind, searches, False)
         strategy = next(s for s, plan in _PLANS.items() if plan == default)

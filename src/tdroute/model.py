@@ -163,9 +163,12 @@ class TdGraph:
     the arc from below. ``_least`` is the one list of it: the engine prunes
     by it and the landmarks weigh arcs with it, and neither edits it.
     ``_low`` holds each arc's least span (:func:`_least_span`), which bounds
-    the arrival search's bracket; it is one ``array('d')``, 8 B an arc. Each
-    arc is checked against the graph with :func:`check_arc` as it is
-    grouped, so the first bad arc raises.
+    the arrival search's bracket, and ``_reach`` the distance left past the
+    departure interval that the next interval surely holds, row step and
+    scan span alike: the least span times :data:`REACH_MARGIN` for an arc
+    the O(1) coverage bound clears, else 0. Each is one ``array('d')``, 8 B
+    an arc. Each arc is checked against the graph with :func:`check_arc` as
+    it is grouped, whose verdict sets its reach, so the first bad arc raises.
     """
 
     nodes: int
@@ -181,6 +184,7 @@ class TdGraph:
     _speeds: list[array[float]] = field(init=False, repr=False, compare=False)
     _least: list[float] = field(init=False, repr=False, compare=False)
     _low: array[float] = field(init=False, repr=False, compare=False)
+    _reach: array[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
@@ -197,9 +201,11 @@ class TdGraph:
         length = [arc.length * 1.0 for arc in arcs]
         least = [arc.length / arc.profile._fastest for arc in arcs]
         low = array("d", (_least_span(arc.profile, self.division) for arc in arcs))
+        reach = _ZERO * len(arcs)
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
         for index, arc in enumerate(arcs):
-            check_arc(arc, self.nodes, self.kind, self.division, self.policy)
+            if check_arc(arc, self.nodes, self.kind, self.division, self.policy):
+                reach[index] = low[index] * REACH_MARGIN
             outgoing[arc.src].append(index)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
@@ -209,6 +215,7 @@ class TdGraph:
         object.__setattr__(self, "_speeds", speeds)
         object.__setattr__(self, "_least", least)
         object.__setattr__(self, "_low", low)
+        object.__setattr__(self, "_reach", reach)
 
     @property
     def arc_count(self) -> int:
@@ -271,23 +278,25 @@ def map_instant(division: TimeDivision, t: float, policy: str,
 
 
 def check_arc(arc: Arc, nodes: int, kind: str, division: TimeDivision,
-              policy: str) -> None:
+              policy: str) -> bool:
     """Raise ValueError unless ``arc`` fits a graph of ``nodes`` nodes and
-    ``kind`` profiles over the ``division`` under the ``policy``.
+    ``kind`` profiles over the ``division`` under the ``policy``; return
+    whether the O(1) bound (:func:`_clears_coverage`) cleared the arc.
 
     These are the arc invariants that need the graph, the coverage rule
     among them; :class:`Arc` and :class:`SpeedProfile` check the rest.
     """
     if arc.src >= nodes or arc.dst >= nodes:
         raise ValueError("node id out of range")
-    _check_profile(arc, kind, division, policy)
+    return _check_profile(arc, kind, division, policy)
 
 
-def _check_profile(arc: Arc, kind: str, division: TimeDivision, policy: str) -> None:
+def _check_profile(arc: Arc, kind: str, division: TimeDivision, policy: str) -> bool:
     """The half of :func:`check_arc` that needs no node count: the profile's
     kind, its speed count, when linear under the periodic policy its seam,
     and the coverage rule the searches need: every interval adds distance to
-    the arc's prefix row, whose total and window bound are finite."""
+    the arc's prefix row, whose total and window bound are finite. Returns
+    whether the O(1) bound cleared the rule, without the exact check."""
     profile = arc.profile
     if profile.kind != kind:
         raise ValueError(f"expected a {kind} profile, got {profile.kind}")
@@ -298,8 +307,10 @@ def _check_profile(arc: Arc, kind: str, division: TimeDivision, policy: str) -> 
     if (policy == PERIODIC and profile.kind == LINEAR
             and abs(values[0] - values[-1]) > SEAM_TOLERANCE):
         raise ValueError("periodic linear profile must begin and end at the same speed")
-    if not _clears_coverage(profile, arc.length, division):
-        _window_bound(arc.length, _prefix_sums(values, division))
+    if _clears_coverage(profile, arc.length, division):
+        return True
+    _window_bound(arc.length, _prefix_sums(values, division))
+    return False
 
 
 def _clears_coverage(profile: SpeedProfile, length: float,
@@ -325,6 +336,12 @@ def _clears_coverage(profile: SpeedProfile, length: float,
         high *= max(1.0, horizon / narrowest)
     return (0.0 < low and high < 2.0**1000 and high * 2.0**-40 <= low
             and length / low < 2.0**1000)
+
+
+# An arc's reach (TdGraph._reach) is its least span shrunk by this margin,
+# 2^-5 of the span: on an arc the O(1) bound clears, rounding moves a span or
+# a row step by under 2^-8 of it (see "Row-free exits" in tdroute.routing).
+REACH_MARGIN = 1.0 - 2.0**-5
 
 
 def _least_span(profile: SpeedProfile, division: TimeDivision) -> float:

@@ -12,24 +12,26 @@ prefix rows and windows. Speeds and rows are each one ``array('d')`` per
 arc, dense doubles that the loop indexes as it would a list. No
 ``TraversalResult`` is allocated per relaxation.
 
-The loop finishes a same-interval crossing; everything else is one call
-to the crossing kernel ``traversal._cross``. A node settled at ``label``
-in interval k gives the departure instant t, the label itself inside the
-horizon and past it the instant the policy maps the label to
-(``model.map_instant``), and ``room = points[k+1] - t``. Each relaxation
-computes ``first``, the distance coverable from t to the end of interval
-k, with the kind's ``cover``: ``values[k] * room`` inline for constant
-speeds. When ``first >= length`` the cost is the kind's ``within``
-(``length / values[k]`` inline), and the crossing ends in interval k
-when ``label + cost < points[k+1]``: the kernel's own test and cost.
-Most crossings on realistic networks end so; none from a label past the
-horizon does, as there ``points[k+1] <= label``, and there the loop
-leaves a linear arc's ``within`` to the kernel. Any other crossing is
-one kernel call given k, t and ``first``, or none when the arc's least
-crossing time rules the crossing out (Pruned, below). The arrival keeps
-the kernel's interval ``stop`` when ``points[stop] <= label + cost <
-points[stop+1]``; otherwise ``locate_interval`` places it, as the
-single-arc door does. The strategy picks the procedure the kernel runs:
+The loop finishes a same-interval crossing, and two crossings out of the
+departure interval that read no prefix row (Row-free exits, below);
+everything else is one call to the crossing kernel ``traversal._cross``.
+A node settled at ``label`` in interval k gives the departure instant t,
+the label itself inside the horizon and past it the instant the policy
+maps the label to (``model.map_instant``), and ``room = points[k+1] -
+t``. Each relaxation computes ``first``, the distance coverable from t
+to the end of interval k, with the kind's ``cover``: ``values[k] *
+room`` inline for constant speeds. When ``first >= length`` the cost is
+the kind's ``within`` (``length / values[k]`` inline), and the crossing
+ends in interval k when ``label + cost < points[k+1]``: the kernel's own
+test and cost. Most crossings on realistic networks end so; none from a
+label past the horizon does, as there ``points[k+1] <= label``, and
+there the loop leaves a linear arc's ``within`` to the kernel. Any other
+crossing is a row-free exit or one kernel call given k, t and ``first``,
+or neither when the arc's least crossing time rules the crossing out
+(Pruned, below). The arrival keeps the exit's or the kernel's interval
+``stop`` when ``points[stop] <= label + cost < points[stop+1]``;
+otherwise ``locate_interval`` places it, as the single-arc door does.
+The strategy picks the procedure the kernel runs:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -45,8 +47,8 @@ Each settled node remembers the interval its arrival lies in; that index
 seeds the next traversal call's interval location, making it O(1).
 A query owns its working state exclusively, so any number of queries may
 run concurrently over one shared graph/table. The loop fills an arc's row
-(and b-fatt's window) when it first hands the arc to the kernel: the same
-bits from any query, in one atomic list-slot store (``traversal.AelTable``).
+(and b-fatt's window) when a crossing first needs a search: the same bits
+from any query, in one atomic list-slot store (``traversal.AelTable``).
 
 Point-to-point queries run A* whenever the table carries landmark lists
 (:func:`tdroute.traversal.build_ael` always adds them), whatever the
@@ -106,6 +108,34 @@ without landmarks, use the label as the key: plain Dijkstra.
   largest float (``model.check_arc``); only a finite bound prunes, so that
   one raises in the engine as in ``traverse_arc``. The same-interval exit
   is not pruned: it costs about what the test does.
+* Row-free exits. After the prune test, two crossings out of interval k
+  need no row, and the loop finishes them with the kernel's bits and
+  counts, reading and filling no row or window. Let ``rest = length -
+  first`` be the distance left past interval k.
+
+  - Next interval: ``0 < rest <= reach`` and k is not the last interval.
+    The cost is ``(end - t) + within(values, points, k + 1, end, rest)``,
+    counted as one probe for a search or one step for a scan. ``reach`` is
+    the graph's (``TdGraph._reach``): the arc's least span ``low`` times
+    ``model.REACH_MARGIN``, 1 - 2^-5, when the O(1) coverage bound
+    (``model._clears_coverage``) clears the arc, and 0 otherwise. There
+    low >= 2^-40 high, with the bound's high, so an ulp of high is at most
+    2^-12 low. Each computed span, and each step of the computed row, is
+    at least low in exact arithmetic, and rounding moves it by under ten
+    ulps of high (a linear span's two products and their sum, then the
+    running sum): under 2^-8 low, far inside the margin. So
+    ``rest <= reach`` passes the kernel's bracket test ``rest <=
+    least_span``, which makes interval k + 1 the whole bracket, and its
+    check ``rest <= row[k+1] - row[k]``: one probe. A scan's walk meets
+    interval k + 1's span first and stops there: one step. Either way the
+    kernel returns the cost above, ``lead + at`` being ``end - t``.
+  - Static tail: k is the last interval under "static" and ``rest > 0``.
+    Interval k's row step and the walk add nothing, so the kernel returns
+    ``(horizon - t) + rest / values[-1]`` and counts nothing.
+
+  A NaN ``first`` fails both tests and reaches the kernel, which raises. A
+  table built by hand takes neither exit (``_row_free``): its rows need
+  not be the graph's. The kernel keeps both for the single-arc door.
 """
 
 from __future__ import annotations
@@ -116,8 +146,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .landmarks import SCALE, potential, targeting
-from .model import (CONSTANT, LINEAR, TdGraph, _check_node, locate_interval,
-                    map_instant)
+from .model import (CONSTANT, LINEAR, STATIC, TdGraph, _check_node,
+                    locate_interval, map_instant)
 from .traversal import (
     _KINDS,
     AelTable,
@@ -156,14 +186,16 @@ class QueryStats:
 
     ``settled`` counts the nodes settled, the target included.
     ``traversal_calls`` counts the crossings computed: relaxations of an
-    arc into a node not yet settled that the loop finished in the
-    departure interval or handed to the kernel. ``pruned`` counts the
-    relaxations skipped instead of handed to the kernel, because the arc's
-    least crossing time could not improve the label they lead to; the two
-    together are every relaxation. ``probes`` counts the arrival search's
-    probes of the prefix rows and ``steps`` the intervals a scan walked.
+    arc into a node not yet settled that the loop finished itself (in the
+    departure interval or by a row-free exit) or handed to the kernel.
+    ``pruned`` counts the relaxations out of the departure interval skipped
+    instead, because the arc's least crossing time could not improve the
+    label they lead to; the two together are every relaxation. ``probes``
+    counts the arrival search's probes of the prefix rows and ``steps`` the
+    intervals a scan walked.
     The kernel counts only these two, into this object from the engine or
-    into an :class:`~tdroute.traversal.OpCounter` from the single-arc door.
+    into an :class:`~tdroute.traversal.OpCounter` from the single-arc door;
+    the engine counts its row-free exits as the kernel would.
     """
 
     settled: int = 0
@@ -312,6 +344,17 @@ def _check_strategy(
     return ael._rows, ael._bounds, landmarks
 
 
+def _row_free(graph: TdGraph, ael: AelTable | None,
+              rows: list | None) -> tuple[array[float] | list[float], bool]:
+    """Each arc's reach for the loop's next-interval exit and whether its
+    static-tail exit applies (Row-free exits, above): none of either when
+    the search reads a table built by hand, whose rows need not be the
+    graph's."""
+    if rows is None or ael._graph is graph:
+        return graph._reach, graph.policy == STATIC
+    return [0.0] * graph.arc_count, False
+
+
 def _run(
     graph: TdGraph,
     ael: AelTable | None,
@@ -329,6 +372,7 @@ def _run(
     policy = graph.policy
     points = division.breakpoints
     horizon = points[-1]
+    last = len(points) - 2
     constant = graph.kind == CONSTANT
     kind = _KINDS[graph.kind]
     cover, within = kind.cover, kind.within
@@ -338,6 +382,7 @@ def _run(
     speeds = graph._speeds
     least = graph._least
     spans = graph._low
+    reach, tail = _row_free(graph, ael, rows)
     n = graph.nodes
     arrival = [UNREACHABLE] * n
     predecessor: list[int | None] = [None] * n
@@ -347,6 +392,7 @@ def _run(
     settled_count = 0
     calls = 0
     pruned = 0
+    exits = 0
     inf = math.inf
     scale = SCALE
 
@@ -408,17 +454,29 @@ def _run(
                 if arrival[dst] <= label + least[arc_index] * scale < inf:
                     pruned += 1
                     continue
-                # One kernel call, given the distance first coverable in
-                # interval k, filling the row on first use. Stats count it.
-                cost, interval = _cross(
-                    kind, values, length,
-                    None if rows is None
-                    else rows[arc_index] or ael._fill_row(arc_index),
-                    division, policy, k, t, first,
-                    None if windows is None
-                    else windows[arc_index] or ael._fill_bound(arc_index),
-                    spans[arc_index], stats,
-                )
+                rest = length - first
+                if 0.0 < rest <= reach[arc_index] and k < last:
+                    # Row-free: the crossing ends in interval k + 1.
+                    cost = (end - t) + (rest / values[k + 1] if constant else
+                                        within(values, points, k + 1, end, rest))
+                    interval = k + 1
+                    exits += 1
+                elif tail and k == last and rest > 0.0:
+                    # Row-free: the static tail at the last measured speed.
+                    cost = (horizon - t) + rest / values[-1]
+                    interval = last
+                else:
+                    # One kernel call, given the distance first coverable in
+                    # interval k, filling the row on first use. Stats count it.
+                    cost, interval = _cross(
+                        kind, values, length,
+                        None if rows is None
+                        else rows[arc_index] or ael._fill_row(arc_index),
+                        division, policy, k, t, first,
+                        None if windows is None
+                        else windows[arc_index] or ael._fill_bound(arc_index),
+                        spans[arc_index], stats,
+                    )
                 candidate = label + cost
                 # The door's locate_interval call, inline while the hint holds
                 if not points[interval] <= candidate < points[interval + 1]:
@@ -439,6 +497,11 @@ def _run(
     stats.settled = settled_count
     stats.traversal_calls = calls - pruned
     stats.pruned = pruned
+    # Each next-interval exit is the kernel's one probe, or one scan step.
+    if rows is None:
+        stats.steps += exits
+    else:
+        stats.probes += exits
     # hint[x] is None exactly where arrival[x] is inf.
     return RouteResult(
         source=source,

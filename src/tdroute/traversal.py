@@ -47,8 +47,9 @@ departure and the length of the prefix row it reads, locates the
 departure, runs the unchecked kernel and locates the arrival.
 ``routing.traverse_arc`` enters at ``_cross_at``, as its graph checked
 every arc. The routing engine, which validates once per query, finishes
-a same-interval crossing itself; everything else is one call to the
-kernel.
+a same-interval crossing itself, and one that ends in the next interval
+or in the static tail, which needs no row; everything else is one call
+to the kernel.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -125,16 +126,19 @@ class AelTable:
     point-to-point queries from below (see :mod:`tdroute.landmarks`).
 
     Each row is one ``array('d')``. A table built from a graph
-    (:func:`build_ael`) fills arc i's row when a crossing first reads it,
-    and its window bound when a windowed search first does; reading
-    ``rows`` or ``window_bounds`` fills the rest. A filled entry is a pure
-    function of the graph, stored by one atomic list-slot store: queries
-    that fill the same row store the same bits, so they may share a table
-    across threads. A table built from ``rows`` records the length they
-    share, so the route engine checks all rows' lengths in O(1) per query,
-    and raises ValueError naming the first row that is not finite, positive
-    and strictly increasing, as the arrival search needs; a table built
-    from a graph, whose rows the coverage rule vouches for, skips that walk.
+    (:func:`build_ael`) fills arc i's row when a crossing first needs a
+    search (the route engine finishes one that ends in the next interval, or
+    in the static tail, without it), and its window bound when a windowed
+    search first does; reading ``rows`` or ``window_bounds`` fills the rest.
+    A filled entry is a pure function of the graph, stored by one atomic
+    list-slot store: queries that fill the same row store the same bits, so
+    they may share a table across threads. A table built from ``rows``
+    records the length they share, so the route engine checks all rows'
+    lengths in O(1) per query, and raises ValueError naming the first row
+    that is not finite, positive and strictly increasing, as the arrival
+    search needs, or the first window bound that is not an int of at least
+    1; a table built from a graph, whose rows the coverage rule vouches for,
+    skips that walk.
     """
 
     def __init__(self, rows: list[array[float]], window_bounds: list[int] | None = None,
@@ -144,6 +148,10 @@ class AelTable:
             if not all(map(lt, chain((0.0,), row), chain(row, (math.inf,)))):
                 raise ValueError(f"prefix row {index} is not finite, positive "
                                  "and strictly increasing")
+        for index, bound in enumerate(window_bounds or ()):
+            if not (isinstance(bound, int) and bound >= 1):
+                raise ValueError(f"window bound {index} is {bound!r}, not an "
+                                 "int of at least 1")
         lengths = set(map(len, rows))
         vars(self).update(_rows=rows, _bounds=window_bounds or [], _graph=None,
                           landmarks=landmarks or [],
@@ -182,13 +190,13 @@ def effective_length(arc: Arc, division: TimeDivision, k: int) -> float:
 
 
 def build_ael(graph: TdGraph) -> AelTable:
-    """The prefix table of ``graph``, with its landmark distance lists (a
-    few static Dijkstra runs). Arc i's row, O(K) time and space, is filled
-    when a query first crosses the arc out of its departure interval, so a
-    one-shot query sums only the rows it reads; queries that share the
-    table across threads fill the same bits (see :class:`AelTable`). No
-    fill can fail: the graph checked that every arc's prefix sums bound a
-    search (``model.check_arc``).
+    """The prefix table of ``graph``, with its landmark distance lists (a few
+    static Dijkstra runs). Arc i's row, O(K) time and space, is filled when
+    a crossing of the arc first needs a search, so a one-shot query sums
+    only the rows it searches; queries that share the table across threads
+    fill the same bits (see :class:`AelTable`). No fill can fail: the graph
+    checked that every arc's prefix sums bound a search
+    (``model.check_arc``).
     """
     return _prefix_table(graph, build_landmarks(graph))
 

@@ -75,6 +75,12 @@ def random_graph(rng: random.Random, max_nodes: int = 12,
     return generate(config)
 
 
+def no_row_free(graph: TdGraph, ael, rows) -> tuple[list[float], bool]:
+    """``tdroute.routing._row_free`` for an engine with no row-free exits:
+    every crossing out of its departure interval goes to the kernel."""
+    return [0.0] * graph.arc_count, False
+
+
 def brute_locate(division: TimeDivision, t: float) -> int:
     """Linear scan replacement for the binary interval search."""
     points = division.breakpoints

@@ -9,16 +9,19 @@ intervals match.
 
 The same cases check the engine's pruning against a copy of each graph
 that prunes nothing: the answers are the same bits and every pruned
-relaxation is one crossing the copy computed. Their arcs check the O(1)
-bound of the coverage rule against its exact check, and their files check
-that loading, validation and ``build_ael`` give one verdict. After any mix
-of queries, the rows and window bounds that a table fills on first use
-are the bits a table built whole holds.
+relaxation is one crossing the copy computed. They check its row-free
+exits against an engine without them: the same bits and counters. Their
+arcs check the O(1) bound of the coverage rule against its exact check,
+and their files check that loading, validation and ``build_ael`` give
+one verdict. After any mix of queries, the rows and window bounds that a
+table fills on first use are the bits a table built whole holds.
 """
 
 import copy
 import math
+import re
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +33,9 @@ from tdroute import (
     LINEAR,
     PERIODIC,
     STATIC,
+    AelTable,
     Arc,
+    PathResult,
     SpeedProfile,
     TdGraph,
     TimeDivision,
@@ -42,9 +47,11 @@ from tdroute import (
     shortest_paths,
     traverse_arc,
 )
+from tdroute import routing
 from tdroute.io_gen import _parse
-from tdroute.model import (_clears_coverage, _prefix_sums, _window_bound,
-                           check_arc)
+from tdroute.model import (REACH_MARGIN, _clears_coverage, _prefix_sums,
+                           _window_bound, check_arc)
+from support import no_row_free
 
 STRATEGIES = {CONSTANT: ("att", "fatt", "b-fatt"), LINEAR: ("att-linear", "l-fatt")}
 NODES = 3
@@ -240,6 +247,94 @@ def test_pruning_gives_the_unpruned_answers_bit_for_bit():
 
     check()
     assert sum(pruned) > 0
+
+
+def outcome(query, *args):
+    """The bits of ``query(*args)`` with its stats, or the ValueError it
+    raises."""
+    try:
+        result = query(*args)
+    except ValueError as error:
+        return "raises", str(error)
+    if isinstance(result, PathResult):
+        return result.path, result.arrival.hex(), result.stats
+    return tree_bits(result), result.stats
+
+
+def compare_without_row_free(case, hand_built):
+    """Check every query of ``case`` under every strategy against an engine
+    with no row-free exits, over a table built from the graph or, when
+    ``hand_built``, by hand from its rows and bounds."""
+    kind, policy, widths, arcs, departure = case
+    try:
+        graph = build(kind, policy, widths, arcs)
+    except ValueError:
+        return
+    table = build_ael(graph)
+    if hand_built:
+        table = AelTable(table.rows, table.window_bounds, table.landmarks)
+    for strategy in STRATEGIES[kind]:
+        for source in range(NODES):
+            queries = [(shortest_paths, source, departure, strategy)]
+            queries += [(shortest_path_to, source, target, departure, strategy)
+                        for target in range(NODES)]
+            for query, *args in queries:
+                got = outcome(query, graph, table, *args)
+                with mock.patch.object(routing, "_row_free", no_row_free):
+                    assert got == outcome(query, graph, table, *args)
+
+
+# 1 m/s over two 1 s intervals, departing 2^-6 s before the breakpoint: the
+# arc covers 2^-6 m in interval 0 and has its reach, 1 - 2^-5 m of its least
+# span, left, or an ulp more.
+AT_REACH = 2.0**-6 + REACH_MARGIN
+
+
+@given(cases(), st.booleans())
+@example((CONSTANT, STATIC, [1.0, 1.0], [(0, 1, AT_REACH, [1.0, 1.0])],
+          1.0 - 2.0**-6), False)
+@example((LINEAR, PERIODIC, [1.0, 1.0], [(0, 1, AT_REACH, [1.0, 1.0, 1.0])],
+          1.0 - 2.0**-6), False)
+@example((CONSTANT, STATIC, [1.0, 1.0],
+          [(0, 1, math.nextafter(AT_REACH, 2.0), [1.0, 1.0])], 1.0 - 2.0**-6), False)
+# Speeds 1e13 apart: the O(1) bound does not clear the arc, whose reach is 0,
+# though the 5e-14 m left past interval 0 ends in interval 1.
+@example((CONSTANT, STATIC, [1.0, 1.0], [(0, 1, 0.5 + 5e-14, [1.0, 1e-13])], 0.5),
+         False)
+# Periodic, from the last interval: the crossing wraps into the next period.
+@example((CONSTANT, PERIODIC, [1.0, 1.0], [(0, 1, 1.0, [1.0, 1.0])], 1.5), False)
+@example((CONSTANT, STATIC, [1.0, 1.0], [(0, 1, AT_REACH, [1.0, 1.0])],
+          1.0 - 2.0**-6), True)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_row_free_exits_give_the_kernel_answers_bit_for_bit(case, hand_built):
+    # The same arrivals, predecessors, arrival intervals and QueryStats as an
+    # engine that hands every crossing out of its interval to the kernel, or
+    # the same ValueError.
+    compare_without_row_free(case, hand_built)
+
+
+def test_a_nan_first_reaches_the_kernel_and_raises_as_traverse_arc_does():
+    # No graph that builds has a NaN first: the span from an instant inside
+    # an interval is bounded by the interval's whole span, which the coverage
+    # rule keeps finite, so cases() cannot give one. A speed poisoned in
+    # place after the graph checked it does, and fails both exits' tests.
+    for kind in (CONSTANT, LINEAR):
+        for policy in (STATIC, PERIODIC):
+            count = 2 + (kind == LINEAR)
+            graph = build(kind, policy, [1.0, 1.0], [(0, 1, 1.5, [1.0] * count)])
+            graph.arcs[0].profile.values[0] = math.nan
+            for strategy in STRATEGIES[kind]:
+                table = build_ael(graph)
+                with pytest.raises(ValueError) as crossing:
+                    traverse_arc(graph, table, 0, 0.5, strategy)
+                message = f"^{re.escape(str(crossing.value))}$"
+                for query, *args in ((shortest_paths, 0, 0.5, strategy),
+                                     (shortest_path_to, 0, 1, 0.5, strategy)):
+                    with pytest.raises(ValueError, match=message):
+                        query(graph, table, *args)
+                    with mock.patch.object(routing, "_row_free", no_row_free):
+                        with pytest.raises(ValueError, match=message):
+                            query(graph, table, *args)
 
 
 @given(cases())

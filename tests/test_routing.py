@@ -46,7 +46,7 @@ from tdroute.landmarks import (
     potential,
     targeting,
 )
-from support import enumerate_arrivals, random_graph, random_profile
+from support import enumerate_arrivals, no_row_free, random_graph, random_profile
 
 
 def three_node_graph():
@@ -204,6 +204,32 @@ class TestValidation:
                 shortest_path_to(graph, bad, 0, 2, 6.0, strategy)
             with pytest.raises(ValueError, match=message):
                 traverse_arc(graph, bad, 0, 6.0, strategy)
+
+    def test_a_window_bound_built_by_hand_must_be_an_int_of_at_least_1(self):
+        # Taken unchecked, a None bound ended in AttributeError from
+        # bounded_fatt, from a b-fatt query and from reading window_bounds:
+        # the table took None for "fill from the graph", which a table built
+        # by hand does not have. It names the bound now.
+        graph = sample_graph()
+        whole = build_ael(graph)
+        rows, bounds = whole.rows, whole.window_bounds
+        with pytest.raises(ValueError, match="^window bound 0 is None, "):
+            AelTable(rows, [None] * len(bounds))
+        for bad in (None, 0, -1, 1.5, 9.0, "9"):
+            for index in range(len(bounds)):
+                given = bounds[:index] + [bad] + bounds[index + 1:]
+                message = (f"^window bound {index} is {re.escape(repr(bad))}, "
+                           "not an int of at least 1$")
+                with pytest.raises(ValueError, match=message):
+                    AelTable(rows, given)
+        # The three calls on bounds that pass give the table's own answers.
+        table = AelTable(rows, bounds)
+        arc, division, policy = graph.arcs[0], graph.division, graph.policy
+        assert (bounded_fatt(arc, table, 0, division, policy, 6.0, q=9)
+                == bounded_fatt(arc, whole, 0, division, policy, 6.0, q=9))
+        assert (shortest_paths(graph, table, 0, 6.0, "b-fatt")
+                == shortest_paths(graph, whole, 0, 6.0, "b-fatt"))
+        assert table.window_bounds == bounds
 
     def test_a_prefix_row_of_the_wrong_length_raises(self):
         # sample_graph() has four intervals; every row one entry short or long.
@@ -672,9 +698,10 @@ def assert_tree_crossings(graph, table, strategy, result):
 
 
 class TestSearchedExit:
-    """The engine's loop finishes a same-interval crossing and hands every
-    other, searched ones included, to the crossing kernel; each gives the
-    single-arc door's bits."""
+    """The engine's loop finishes a same-interval crossing, and one that
+    ends in the next interval or in the static tail without a row, and hands
+    every other, searched ones included, to the crossing kernel; each gives
+    the single-arc door's bits."""
 
     def test_every_crossing_reproduces_the_kernel_bit_for_bit(self):
         rng = random.Random(91)
@@ -753,14 +780,16 @@ class TestSearchedExit:
                 assert result.arrival_interval[1] == 1
                 assert_tree_crossings(graph, table, strategy, result)
 
-    def test_each_crossing_out_of_its_interval_is_one_kernel_call(self, monkeypatch):
+    def test_each_crossing_out_of_its_interval_is_a_kernel_call_or_row_free(
+            self, monkeypatch):
         graph = fine_grid(random.Random(92), CONSTANT, STATIC)
         table = build_ael(graph)
         calls = []
         kernel = routing._cross
 
         def counted(*args):
-            calls.append(args)
+            # length, k, t, first and the arc's least span
+            calls.append((args[2], *args[6:9], args[10]))
             return kernel(*args)
 
         def door(*args):
@@ -770,19 +799,93 @@ class TestSearchedExit:
         monkeypatch.setattr(routing, "_cross_at", door)
         queries = ((0, 0.0), (12, 1800.0), (24, 3600.0),
                    (0, graph.division.horizon))
-        stats = [
-            shortest_paths(graph, table, source, departure, "fatt").stats
-            for source, departure in queries
-        ]
+
+        def run():
+            calls.clear()
+            stats = [
+                shortest_paths(graph, table, source, departure, "fatt").stats
+                for source, departure in queries
+            ]
+            return list(calls), stats
+
+        made, stats = run()
+        monkeypatch.setattr(routing, "_row_free", no_row_free)
+        every, plain = run()
+        assert stats == plain
         # Every relaxation here, inside the horizon and past it, leaves its
         # departure interval: the distance the loop passes as covered there
-        # falls short of the arc. Each not pruned is one kernel call.
-        assert all(first < length for _, _, length, *_, first, _, _, _ in calls)
-        assert len(calls) == sum(s.traversal_calls for s in stats) == 128
+        # falls short of the arc. Without row-free exits each not pruned is
+        # one kernel call.
+        assert all(first < length for length, _, _, first, _ in every)
+        assert len(every) == sum(s.traversal_calls for s in stats) == 128
+        # With them, exactly the crossings that the next interval surely holds
+        # or that start the static tail skip the kernel: here those departing
+        # past the horizon. The bound clears every arc of the grid.
+        assert list(graph._reach) == [low * model.REACH_MARGIN for low in graph._low]
+        last = graph.division.intervals - 1
+
+        def row_free(call):
+            length, k, _, first, low = call
+            rest = length - first
+            return (0.0 < rest <= low * model.REACH_MARGIN and k < last
+                    or k == last and rest > 0.0)
+
+        exits = sum(map(row_free, every))
+        assert made == [call for call in every if not row_free(call)]
+        assert len(made) + exits == 128 and len(made) == 99
         # The counters of the three in-horizon queries.
         assert [(s.settled, s.traversal_calls, s.probes, s.steps)
                 for s in stats[:3]] == [(25, 33, 57, 0), (25, 34, 63, 0),
                                     (25, 32, 64, 0)]
+
+    def test_a_rest_within_the_reach_needs_no_row_and_an_ulp_more_does(
+            self, monkeypatch):
+        # 1 m/s over two 1 s intervals: the arc's least span is 1 m and its
+        # reach 1 - 2^-5 m. Departing 2^-6 s before the breakpoint, it covers
+        # 2^-6 m in interval 0, and the rest, the reach or an ulp more, in
+        # interval 1. Either way the kernel would bracket interval 1 alone
+        # (one probe) or walk one step; only the ulp more calls it.
+        division = TimeDivision((0.0, 1.0, 2.0))
+        departure, first = 1.0 - 2.0**-6, 2.0**-6
+        calls = []
+        kernel = routing._cross
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(routing, "_cross", counted)
+        for kind in (CONSTANT, LINEAR):
+            profile = SpeedProfile(kind, (1.0,) * (2 + (kind == LINEAR)))
+            for rest, kernel_calls in ((model.REACH_MARGIN, 0),
+                                       (math.nextafter(model.REACH_MARGIN, 1.0), 1)):
+                graph = TdGraph(2, division, STATIC, kind,
+                                (Arc(0, 1, first + rest, profile),))
+                assert graph._reach[0] == model.REACH_MARGIN
+                assert graph.arcs[0].length - first == rest
+                table = build_ael(graph)
+                results = {}
+                for strategy in strategies_for(kind):
+                    calls.clear()
+                    result = results[strategy] = shortest_paths(
+                        graph, table, 0, departure, strategy)
+                    assert len(calls) == kernel_calls
+                    scans = strategy.startswith("att")
+                    assert (result.stats.probes, result.stats.steps) == (
+                        (0, 1) if scans else (1, 0))
+                    assert result.arrival_interval[1] == 1
+                assert (table._rows[0] is None) == (kernel_calls == 0)
+                assert (table._bounds[0] is None) == (kernel_calls == 0
+                                                     or kind == LINEAR)
+                for strategy, result in results.items():
+                    assert_tree_crossings(graph, table, strategy, result)
+                # A search over a table built by hand always calls the kernel.
+                by_hand = AelTable(table.rows, table.window_bounds)
+                for strategy in strategies_for(kind)[1:]:
+                    calls.clear()
+                    result = shortest_paths(graph, by_hand, 0, departure, strategy)
+                    assert len(calls) == 1
+                    assert result == results[strategy]
 
     def test_a_span_that_is_nan_is_refused_at_load(self):
         # A flat linear arc over one 1e200 s interval: its slope 0 times the
@@ -965,8 +1068,8 @@ class TestPinnedOutput:
 
 class TestRowsOnFirstUse:
     """A table built from a graph fills an arc's prefix row, and its window
-    bound, the first time a crossing out of the departure interval reads
-    it; the public reads of ``rows`` and ``window_bounds`` fill the rest."""
+    bound, the first time a crossing needs a search over it; the public
+    reads of ``rows`` and ``window_bounds`` fill the rest."""
 
     @staticmethod
     def whole(graph):
@@ -993,6 +1096,50 @@ class TestRowsOnFirstUse:
         rows, bounds = self.whole(graph)
         assert table.rows == rows and table.window_bounds == bounds
         assert table._rows == rows and table._bounds == bounds
+
+    def test_a_city_like_graph_fills_no_row_or_bound(self, monkeypatch):
+        # Arcs of 50-500 m at 5-30 m/s over 15-minute intervals, static: an
+        # interval covers at least 4,500 m, so a crossing out of its interval
+        # ends in the next one or, from the last, in the static tail. Both
+        # need no row, so no query calls the kernel or fills a row or bound,
+        # and every answer is the one of an engine with no row-free exits.
+        made = generate(GeneratorConfig(
+            nodes=100, avg_degree=3.0, intervals=96, horizon=86400.0,
+            speed_range=(5.0, 30.0), length_range=(50.0, 500.0), seed=8,
+        ))
+        # The generator draws its breakpoints; a city's are uniform.
+        division = TimeDivision(tuple(900.0 * i for i in range(97)))
+        graph = TdGraph(made.nodes, division, STATIC, CONSTANT, made.arcs)
+        horizon = division.horizon
+        # Departures just before a breakpoint, before the horizon and past it
+        queries = [(source, departure, strategy)
+                   for source in (0, 37, 99)
+                   for departure in (899.0, 43199.5, horizon - 30.0, 2 * horizon)
+                   for strategy in ("fatt", "b-fatt")]
+
+        def run(table):
+            out = []
+            for source, departure, strategy in queries:
+                tree = shortest_paths(graph, table, source, departure, strategy)
+                path = shortest_path_to(graph, table, source, 99 - source,
+                                        departure, strategy)
+                out.append(([a.hex() for a in tree.arrival], tree.predecessor,
+                            tree.arrival_interval, tree.stats,
+                            path.path, path.arrival.hex(), path.stats))
+            return out
+
+        def kernel(*args):
+            raise AssertionError("the engine called the kernel")
+
+        table = build_ael(graph)
+        with monkeypatch.context() as patched:
+            patched.setattr(routing, "_cross", kernel)
+            got = run(table)
+        assert table._rows == table._bounds == [None] * graph.arc_count
+        # The next-interval exit counts a probe, so some crossing took it.
+        assert sum(tree_stats.probes for _, _, _, tree_stats, *_ in got) > 0
+        monkeypatch.setattr(routing, "_row_free", no_row_free)
+        assert got == run(build_ael(graph))
 
     def test_traverse_arc_does_not_check_the_graph_arcs_again(self, monkeypatch):
         # Speeds 1e13 apart: the O(1) bound does not clear the arc, so every
@@ -1090,12 +1237,22 @@ class TestExactStorage:
             assert self.exact(arc.profile.values for arc in graph.arcs)
 
     def test_rows_filled_by_the_engine_and_by_a_read(self):
-        for graph in self.graphs():
+        # The crossings of fine_grid's 10-40 km arcs over 1-minute intervals
+        # search, so the engine fills rows; those of graphs() mostly end in
+        # the next interval, which needs none, so a read fills theirs.
+        rng = random.Random(93)
+        searched = (fine_grid(rng, CONSTANT, STATIC), fine_grid(rng, LINEAR, PERIODIC))
+        for graph in searched:
             table = build_ael(graph)
             strategy = "fatt" if graph.kind == CONSTANT else "l-fatt"
             shortest_paths(graph, table, 0, 1000.0, strategy)
             filled = [row for row in table._rows if row is not None]
             assert filled and self.exact(filled)
+            assert self.exact(table.rows)
+        for graph in self.graphs():
+            table = build_ael(graph)
+            strategy = "fatt" if graph.kind == CONSTANT else "l-fatt"
+            shortest_paths(graph, table, 0, 1000.0, strategy)
             assert self.exact(table.rows)
 
     @pytest.mark.parametrize("count", [1, 3, 96, 1440])
