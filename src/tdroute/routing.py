@@ -13,8 +13,10 @@ arc, dense doubles that the loop indexes as it would a list. No
 ``TraversalResult`` is allocated per relaxation.
 
 The loop finishes a same-interval crossing, and two crossings out of the
-departure interval that read no prefix row (Row-free exits, below);
-everything else is one call to the crossing kernel ``traversal._cross``.
+departure interval that read no prefix row (Row-free exits, below). It
+runs the crossing kernel's own search for a crossing that ends inside the
+horizon, and its walk for a scan (In-horizon crossings, below); everything
+else is one call to the kernel ``traversal._cross``.
 A node settled at ``label`` in interval k gives the departure instant t,
 the label itself inside the horizon and past it the instant the policy
 maps the label to (``model.map_instant``), and ``room = points[k+1] -
@@ -26,12 +28,12 @@ ends in interval k when ``label + cost < points[k+1]``: the kernel's own
 test and cost. Most crossings on realistic networks end so; none from a
 label past the horizon does, as there ``points[k+1] <= label``, and
 there the loop leaves a linear arc's ``within`` to the kernel. Any other
-crossing is a row-free exit or one kernel call given k, t and ``first``,
-or neither when the arc's least crossing time rules the crossing out
-(Pruned, below). The arrival keeps the exit's or the kernel's interval
-``stop`` when ``points[stop] <= label + cost < points[stop+1]``;
-otherwise ``locate_interval`` places it, as the single-arc door does.
-The strategy picks the procedure the kernel runs:
+crossing is a row-free exit, a search, a walk or one kernel call given k,
+t and ``first``, or none of them when the arc's least crossing time rules
+the crossing out (Pruned, below). The arrival keeps the interval ``stop``
+where the crossing ends when ``points[stop] <= label + cost <
+points[stop+1]``; otherwise ``locate_interval`` places it, as the
+single-arc door does. The strategy picks the procedure:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -87,7 +89,8 @@ without landmarks, use the label as the key: plain Dijkstra.
   v early. The target's arrival is then bit-identical to plain
   Dijkstra's. When two paths reach a node at exactly the same instant,
   the path returned may be the other one.
-* Pruned. Before a kernel call, the loop skips the relaxation when
+* Pruned. Before it computes a crossing out of the departure interval,
+  the loop skips the relaxation when
   ``arrival[dst] <= label + least * SCALE < inf``, where ``least`` is the arc's
   ``length / max(values)``, kept by the graph, and ``SCALE`` is the
   landmarks' 1 - 1e-6; ``QueryStats.pruned`` counts the skips. No crossing
@@ -134,8 +137,30 @@ without landmarks, use the label as the key: plain Dijkstra.
     ``(horizon - t) + rest / values[-1]`` and counts nothing.
 
   A NaN ``first`` fails both tests and reaches the kernel, which raises. A
-  table built by hand takes neither exit (``_row_free``): its rows need
+  table built by hand takes neither exit (``_exits``): its rows need
   not be the graph's. The kernel keeps both for the single-arc door.
+* In-horizon crossings. Any other crossing with ``rest > 0`` runs a
+  primitive that ``_cross`` composes, called by the loop itself, with the
+  kernel's bits and counts:
+
+  - A search whose rest ends inside the horizon, ``rest <= row[last] -
+    row[k]``, is one ``traversal._search`` of intervals k + 1 to ``last``
+    (``min(k + 1 + window, last)`` for b-fatt) from ``row[k]``.
+  - A scan is one walk of the kind from interval k + 1. A walk that
+    reaches the horizon goes on from there in ``traversal._past_horizon``,
+    the static tail or the periodic wrap, which walks only the period it
+    wraps into: no kernel call walks the crossing again.
+
+  The cost is ``(points[stop] - t) + within(values, points, stop,
+  points[stop], rest)``, ``rest / values[stop]`` inline for constant
+  speeds: the kernel's own sum. The loop counts the probes and steps in a
+  local and adds them to ``QueryStats`` once per query. It hands the
+  kernel only a search that passes the horizon and a crossing whose
+  ``first`` is NaN or covers the arc: one that departs past the horizon
+  and ends in its departure interval, or whose arrival rounds onto the end
+  of interval k. With ``_exits`` replaced, the loop takes no row-free exit
+  and runs no search or walk: every crossing out of its departure
+  interval is one kernel call, the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -157,6 +182,8 @@ from .traversal import (
     _check_row_length,
     _cross,
     _cross_at,
+    _past_horizon,
+    _search,
 )
 
 ATT = "att"
@@ -187,15 +214,17 @@ class QueryStats:
     ``settled`` counts the nodes settled, the target included.
     ``traversal_calls`` counts the crossings computed: relaxations of an
     arc into a node not yet settled that the loop finished itself (in the
-    departure interval or by a row-free exit) or handed to the kernel.
-    ``pruned`` counts the relaxations out of the departure interval skipped
-    instead, because the arc's least crossing time could not improve the
-    label they lead to; the two together are every relaxation. ``probes``
-    counts the arrival search's probes of the prefix rows and ``steps`` the
-    intervals a scan walked.
-    The kernel counts only these two, into this object from the engine or
-    into an :class:`~tdroute.traversal.OpCounter` from the single-arc door;
-    the engine counts its row-free exits as the kernel would.
+    departure interval, by a row-free exit, or by its own call of the
+    kernel's search or walk) or handed to the kernel. ``pruned`` counts the
+    relaxations out of the departure interval skipped instead, because the
+    arc's least crossing time could not improve the label they lead to; the
+    two together are every relaxation. ``probes`` counts the arrival
+    search's probes of the prefix rows and ``steps`` the intervals a scan
+    walked. The loop counts both for the crossings it finishes, as the
+    kernel would, in a local added here once per query; the kernel counts
+    them for the crossings it is handed, into this object from the engine
+    or into an :class:`~tdroute.traversal.OpCounter` from the single-arc
+    door.
     """
 
     settled: int = 0
@@ -344,15 +373,18 @@ def _check_strategy(
     return ael._rows, ael._bounds, landmarks
 
 
-def _row_free(graph: TdGraph, ael: AelTable | None,
-              rows: list | None) -> tuple[array[float] | list[float], bool]:
-    """Each arc's reach for the loop's next-interval exit and whether its
-    static-tail exit applies (Row-free exits, above): none of either when
-    the search reads a table built by hand, whose rows need not be the
-    graph's."""
+def _exits(graph: TdGraph, ael: AelTable | None,
+           rows: list | None) -> tuple[array[float] | list[float], bool, bool]:
+    """Each arc's reach for the loop's next-interval exit, whether its
+    static-tail exit applies (Row-free exits, above), and whether the loop
+    runs the kernel's search and walk itself (In-horizon crossings, above).
+    No row-free exit applies when the search reads a table built by hand,
+    whose rows need not be the graph's; the search and walk always run in
+    the loop. Replaced, this is the seam through which a reference engine
+    sends every crossing out of its departure interval to the kernel."""
     if rows is None or ael._graph is graph:
-        return graph._reach, graph.policy == STATIC
-    return [0.0] * graph.arc_count, False
+        return graph._reach, graph.policy == STATIC, True
+    return [0.0] * graph.arc_count, False, True
 
 
 def _run(
@@ -375,14 +407,14 @@ def _run(
     last = len(points) - 2
     constant = graph.kind == CONSTANT
     kind = _KINDS[graph.kind]
-    cover, within = kind.cover, kind.within
+    cover, within, walk = kind.cover, kind.within, kind.walk
     adjacency = graph._adjacency
     dsts = graph._dst
     lengths = graph._length
     speeds = graph._speeds
     least = graph._least
     spans = graph._low
-    reach, tail = _row_free(graph, ael, rows)
+    reach, tail, direct = _exits(graph, ael, rows)
     n = graph.nodes
     arrival = [UNREACHABLE] * n
     predecessor: list[int | None] = [None] * n
@@ -392,7 +424,7 @@ def _run(
     settled_count = 0
     calls = 0
     pruned = 0
-    exits = 0
+    ops = 0  # the probes of a search, or the steps of a scan, counted here
     inf = math.inf
     scale = SCALE
 
@@ -460,14 +492,42 @@ def _run(
                     cost = (end - t) + (rest / values[k + 1] if constant else
                                         within(values, points, k + 1, end, rest))
                     interval = k + 1
-                    exits += 1
+                    ops += 1
                 elif tail and k == last and rest > 0.0:
                     # Row-free: the static tail at the last measured speed.
                     cost = (horizon - t) + rest / values[-1]
                     interval = last
+                elif direct and 0.0 < rest and (
+                        rows is None or rest <= (
+                            row := rows[arc_index] or ael._fill_row(arc_index)
+                        )[last] - row[k]):
+                    # A scan, or a search that ends inside the horizon: the
+                    # kernel's own walk or search, from interval k + 1.
+                    if rows is None:
+                        stop, rest = walk(values, division, k + 1, last + 1, rest)
+                        ops += (stop if stop <= last else last) - k
+                    else:
+                        stop, rest, probes = _search(
+                            row, row[k], k + 1, last if windows is None else min(
+                                k + 1 + (windows[arc_index]
+                                         or ael._fill_bound(arc_index)), last),
+                            rest, spans[arc_index])
+                        ops += probes
+                    if stop > last:
+                        # The walk reached the horizon: on past it, not again.
+                        cost, interval = _past_horizon(
+                            kind, values, None, division, policy, t, rest, None,
+                            spans[arc_index], stats)
+                    else:
+                        at = points[stop]
+                        cost = (at - t) + (rest / values[stop] if constant else
+                                           within(values, points, stop, at, rest))
+                        interval = stop
                 else:
                     # One kernel call, given the distance first coverable in
-                    # interval k, filling the row on first use. Stats count it.
+                    # interval k, filling the row on first use: a search past
+                    # the horizon, or a first that is NaN or covers the arc.
+                    # Stats count it.
                     cost, interval = _cross(
                         kind, values, length,
                         None if rows is None
@@ -497,11 +557,10 @@ def _run(
     stats.settled = settled_count
     stats.traversal_calls = calls - pruned
     stats.pruned = pruned
-    # Each next-interval exit is the kernel's one probe, or one scan step.
     if rows is None:
-        stats.steps += exits
+        stats.steps += ops
     else:
-        stats.probes += exits
+        stats.probes += ops
     # hint[x] is None exactly where arrival[x] is inf.
     return RouteResult(
         source=source,

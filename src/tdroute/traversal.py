@@ -38,18 +38,22 @@ form; under "periodic" whole repeats of the pattern are skipped in O(1)
 using the total distance coverable per period, then one in-period search
 (or walk) runs. Both keep the per-call complexity bounds intact.
 
-The kernel holds every exit of a crossing: the same interval, the
-search (the one search of a prefix row), the scan, the static tail
-and the periodic wrap. The five public procedures share one door,
-``_checked_cross``: it checks the policy and the profile with its
-coverage rule (``model.check_arc``), then ``_cross_at`` checks the
-departure and the length of the prefix row it reads, locates the
-departure, runs the unchecked kernel and locates the arrival.
-``routing.traverse_arc`` enters at ``_cross_at``, as its graph checked
-every arc. The routing engine, which validates once per query, finishes
-a same-interval crossing itself, and one that ends in the next interval
-or in the static tail, which needs no row; everything else is one call
-to the kernel.
+The kernel, ``_cross``, composes every exit of a crossing from its
+primitives: the same interval; inside the horizon the search
+(``_search``, the one search of a prefix row) or the scan (the kind's
+walk); past it ``_past_horizon``, the static tail or the periodic wrap.
+The five public procedures share one door, ``_checked_cross``: it checks
+the policy and the profile with its coverage rule (``model.check_arc``),
+then ``_cross_at`` checks the departure and the length of the prefix row
+it reads, locates the departure, runs the unchecked kernel and locates
+the arrival. ``routing.traverse_arc`` enters at ``_cross_at``, as its
+graph checked every arc. The routing engine, which validates once per
+query, finishes a same-interval crossing itself, and one that ends in the
+next interval or in the static tail, which needs no row. It calls
+``_search`` itself for a crossing that ends inside the horizon, and the
+walk, then ``_past_horizon`` if the walk reaches the horizon, for a scan;
+everything else is one call to the kernel. So each primitive exists
+once, whoever calls it.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
@@ -410,112 +414,142 @@ def _cross(
     per arc, so a crossing costs the engine no lookups. ``t`` lies inside
     the horizon, mapped there by the policy when the departure does not,
     and ``first`` is the distance coverable from ``t`` to the end of
-    interval ``k``. The scan (``row`` None) finds the arrival interval with
-    the kind's walk. The search interpolates in the prefix ``row`` between
-    the first candidate and the bracket's far end, bounded by bisection's
-    worst case plus one probe. The bracket is confined to ``window``
-    intervals unless None, and within them to ``rest / least_span``
-    intervals past the first candidate: every interval adds at least
-    ``least_span``, the arc's (``model._least_span``), to the row. The far
-    end is checked to hold the rest, as the window's is; when rounding or a
-    span that overstates the row's least step defeats it, the search falls
-    back to the window, so the span moves probes, never an answer. A
-    bracket of one interval is the answer at one probe: on short arcs
-    nearly every crossing out of its interval ends so. The caller locates
-    the arrival instant with ``stop`` as the hint, so a crossing that ends
-    on a breakpoint or past the horizon still lands in the right interval.
-
-    Ties: when the distance left equals a prefix entry exactly, the end of
-    interval j, both j (covered to its end) and j + 1 (entered with nothing
-    left) pass the search's accept test, and the first of the two that a
-    probe reaches wins; a bracket that ends at j holds only j. Both put the
-    arrival on the same breakpoint, with costs that agree to rounding, and
-    bit for bit when a span over its speed gives back the interval's
-    width, as integer spans do.
+    interval ``k``. The kernel composes its primitives: the same-interval
+    exit, then inside the horizon the scan (``row`` None), which finds the
+    arrival interval with the kind's walk, or the search
+    (:func:`_search`) of the prefix ``row`` from interval k + 1, confined
+    to ``window`` intervals unless None, and past it
+    :func:`_past_horizon`. The route engine runs the same primitives
+    itself for a crossing that ends inside the horizon, so each exists
+    once. The caller locates the arrival instant with ``stop`` as the hint,
+    so a crossing that ends on a breakpoint or past the horizon still lands
+    in the right interval.
     """
     points = division.breakpoints
     if first >= length:
         return kind.within(values, points, k, t, length), k
     last = len(points) - 2
-    # The arrival lies in interval stop (last + 1: past the horizon), entered
-    # lead + points[stop] after t with rest still to cover.
-    lead, rest = -t, length - first
+    rest = length - first
     if row is None:
         stop, rest = kind.walk(values, division, k + 1, last + 1, rest)
         counter.steps += min(stop, last) - k
-    elif rest <= row[last] - row[k]:
-        stop = k + 1
+    elif rest <= (reach := row[last] - row[k]):
+        hi = last if window is None else min(k + 1 + window, last)
+        stop, rest, probes = _search(row, row[k], k + 1, hi, rest, least_span)
+        counter.probes += probes
     else:
-        stop, rest = last + 1, rest - (row[last] - row[k])
+        stop, rest = last + 1, rest - reach
     if stop > last:
-        horizon = points[-1]
-        if policy == STATIC:
-            # Static tail: the rest at the last measured speed.
-            return (horizon - t) + rest / values[-1], last
-        # Skip whole repeats of the pattern, then find the arrival in one period.
-        total = (_prefix_sums(values, division) if row is None else row)[last]
-        repeats, rest = divmod(rest, total)
-        lead, stop = (horizon - t) + repeats * horizon, 0
-        if row is None:
-            stop, rest = kind.walk(values, division, 0, last, rest)
-            # K steps for the total, then the walk's
-            counter.steps += last + 1 + min(stop + 1, last)
-    if row is not None:
-        # Search intervals stop..hi for the one that holds the end of rest.
-        hi = last if window is None else min(stop + window, last)
-        base = row[stop - 1] if stop else 0.0
-        # The bracket: every interval adds at least least_span to the row, so
-        # rest ends within rest / least_span intervals past stop. A span
-        # rounded to 0 fails the product test and one rounded to inf puts
-        # end on stop, so no quotient divides by 0 or truncates inf. Checked
-        # once, end or else hi: with row increasing, this makes the search
-        # terminate.
-        if rest <= least_span:
-            end = stop
-        elif rest < least_span * (hi - stop):
-            end = stop + int(rest / least_span)
-        else:
-            end = hi
-        if not (stop <= end <= hi and rest <= (high := row[end] - base)):
-            if not (stop <= hi and rest <= (high := row[hi] - base)):
-                raise ValueError(
-                    f"arrival search: {rest!r} m exceeds intervals {stop}..{hi}"
-                )
-            end = hi
-        probes = 1  # a one-interval bracket is its own answer
-        if end > stop:
-            # Interpolation in lo..hi, where low = row[lo - 1] - base <= rest
-            # <= high = row[hi] - base, and low < rest once lo passes stop.
-            # Rows are finite and increasing, so a guess divides by a positive
-            # finite span, takes a fraction in [0, 1] of the n intervals and,
-            # clamped, lands in lo..hi: no NaN or inf arises. A probe guesses
-            # only while the probes left after it (spare) would still bisect
-            # the n intervals, n < 2**spare; each probe spends one, and a
-            # bisection halves n. So the loop ends within n.bit_length() + 1
-            # probes, bisection's worst case plus one.
-            lo, hi, low = stop, end, 0.0
-            spare = probes = (hi - lo + 1).bit_length()
-            while True:
-                n = hi - lo + 1
-                if n >> spare:
-                    stop = (lo + hi) >> 1
-                else:
-                    stop = lo + floor((rest - low) / (high - low) * n)
-                    if stop > hi:
-                        stop = hi
-                spare -= 1
-                before = row[stop - 1] - base if stop else low
-                if rest < before:
-                    hi, high = stop - 1, before
-                elif rest > (low := row[stop] - base):
-                    lo = stop + 1
-                else:
-                    rest -= before
-                    break
-            probes -= spare
+        return _past_horizon(kind, values, row, division, policy, t, rest, window,
+                             least_span, counter)
+    at = points[stop]
+    return (at - t) + kind.within(values, points, stop, at, rest), stop
+
+
+def _past_horizon(kind: _Kind, values: array[float], row: array[float] | None,
+                  division: TimeDivision, policy: str, t: float, rest: float,
+                  window: int | None, least_span: float,
+                  counter: OpCounter) -> tuple[float, int]:
+    """The end of a crossing from ``t`` that reaches the horizon with
+    ``rest`` m still to cover, as :func:`_cross` returns it.
+
+    Under "static" the rest is covered at the last measured speed in closed
+    form. Under "periodic" whole repeats of the pattern are skipped in O(1)
+    by the distance coverable per period, then one in-period walk (``row``
+    None, after K steps to sum the period) or search finds the arrival.
+    """
+    points = division.breakpoints
+    last = len(points) - 2
+    horizon = points[-1]
+    if policy == STATIC:
+        return (horizon - t) + rest / values[-1], last
+    total = (_prefix_sums(values, division) if row is None else row)[last]
+    repeats, rest = divmod(rest, total)
+    lead = (horizon - t) + repeats * horizon
+    if row is None:
+        stop, rest = kind.walk(values, division, 0, last, rest)
+        # K steps for the total, then the walk's
+        counter.steps += last + 1 + min(stop + 1, last)
+    else:
+        hi = last if window is None else min(window, last)
+        stop, rest, probes = _search(row, 0.0, 0, hi, rest, least_span)
         counter.probes += probes
     at = points[stop]
     return (lead + at) + kind.within(values, points, stop, at, rest), stop
+
+
+def _search(row: array[float], base: float, stop: int, hi: int, rest: float,
+            least_span: float) -> tuple[int, float, int]:
+    """The arrival search: the interval among ``stop..hi`` that holds the
+    end of ``rest`` m covered from the start of interval ``stop``, where
+    the prefix ``row`` reads ``base``, as (interval, the distance still
+    left at its start, probes).
+
+    The search interpolates in the row between ``stop`` and the bracket's
+    far end, bounded by bisection's worst case plus one probe. The bracket
+    is confined to ``hi`` and within it to ``rest / least_span`` intervals
+    past ``stop``: every interval adds at least ``least_span``, the arc's
+    (``model._least_span``), to the row. The far end is checked to hold the
+    rest, as ``hi`` is; when rounding or a span that overstates the row's
+    least step defeats it, the search falls back to ``hi``, so the span
+    moves probes, never an answer. A bracket of one interval is the answer
+    at one probe: on short arcs nearly every crossing out of its interval
+    ends so. When not even ``hi`` holds the rest (a window bound built by
+    hand too small), it raises ValueError.
+
+    Ties: when the rest equals a prefix entry exactly, the end of interval
+    j, both j (covered to its end) and j + 1 (entered with nothing left)
+    pass the accept test, and the first of the two that a probe reaches
+    wins; a bracket that ends at j holds only j. Both put the arrival on
+    the same breakpoint, with costs that agree to rounding, and bit for bit
+    when a span over its speed gives back the interval's width, as integer
+    spans do.
+    """
+    # The bracket: every interval adds at least least_span to the row, so
+    # rest ends within rest / least_span intervals past stop. A span rounded
+    # to 0 fails the product test and one rounded to inf puts end on stop,
+    # so no quotient divides by 0 or truncates inf. Checked once, end or
+    # else hi: with row increasing, this makes the search terminate.
+    if rest <= least_span:
+        end = stop
+    elif rest < least_span * (hi - stop):
+        end = stop + int(rest / least_span)
+    else:
+        end = hi
+    if not (stop <= end <= hi and rest <= (high := row[end] - base)):
+        if not (stop <= hi and rest <= (high := row[hi] - base)):
+            raise ValueError(
+                f"arrival search: {rest!r} m exceeds intervals {stop}..{hi}"
+            )
+        end = hi
+    if end == stop:
+        return stop, rest, 1  # a one-interval bracket is its own answer
+    # Interpolation in lo..hi, where low = row[lo - 1] - base <= rest <= high
+    # = row[hi] - base, and low < rest once lo passes stop. Rows are finite
+    # and increasing, so a guess divides by a positive finite span, takes a
+    # fraction in [0, 1] of the n intervals and, clamped, lands in lo..hi: no
+    # NaN or inf arises. A probe guesses only while the probes left after it
+    # (spare) would still bisect the n intervals, n < 2**spare; each probe
+    # spends one, and a bisection halves n. So the loop ends within
+    # n.bit_length() + 1 probes, bisection's worst case plus one.
+    lo, hi, low = stop, end, 0.0
+    spare = probes = (hi - lo + 1).bit_length()
+    while True:
+        n = hi - lo + 1
+        if n >> spare:
+            stop = (lo + hi) >> 1
+        else:
+            stop = lo + floor((rest - low) / (high - low) * n)
+            if stop > hi:
+                stop = hi
+        spare -= 1
+        before = row[stop - 1] - base if stop else low
+        if rest < before:
+            hi, high = stop - 1, before
+        elif rest > (low := row[stop] - base):
+            lo = stop + 1
+        else:
+            return stop, rest - before, probes - spare
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import ExitStack, contextmanager
+from functools import partial
+from unittest import mock
 
 from tdroute import (
     CONSTANT,
@@ -26,6 +29,7 @@ from tdroute import (
     generate,
     profile_speed,
 )
+from tdroute import routing, traversal
 
 
 def random_division(rng: random.Random, max_intervals: int = 8,
@@ -75,10 +79,44 @@ def random_graph(rng: random.Random, max_nodes: int = 12,
     return generate(config)
 
 
-def no_row_free(graph: TdGraph, ael, rows) -> tuple[list[float], bool]:
-    """``tdroute.routing._row_free`` for an engine with no row-free exits:
-    every crossing out of its departure interval goes to the kernel."""
-    return [0.0] * graph.arc_count, False
+def no_exits(graph: TdGraph, ael, rows) -> tuple[list[float], bool, bool]:
+    """``tdroute.routing._exits`` for an engine with no row-free exits that
+    runs no search or walk itself: every crossing out of its departure
+    interval is one call to the kernel, ``traversal._cross``."""
+    return [0.0] * graph.arc_count, False, False
+
+
+@contextmanager
+def crossing_paths():
+    """Within it, the list it yields records, in order, each path the route
+    engine sends a crossing out of its departure interval down: its own call
+    of the kernel's search, ``("search", k, rest)``, the kernel's call
+    ``("kernel", k, rest)``, where k is the departure interval and rest the
+    distance left past it, and every walk over whole intervals, from the
+    engine or inside the kernel, ``("walk", start - 1, remaining)``. A
+    row-free exit records nothing."""
+    taken = []
+    search, kernel = routing._search, routing._cross
+
+    def searched(row, base, stop, *args):
+        taken.append(("search", stop - 1, args[1]))
+        return search(row, base, stop, *args)
+
+    def crossed(kind, values, length, row, division, policy, k, t, first, *args):
+        taken.append(("kernel", k, length - first))
+        return kernel(kind, values, length, row, division, policy, k, t, first, *args)
+
+    def walked(walk, values, division, start, end, remaining):
+        taken.append(("walk", start - 1, remaining))
+        return walk(values, division, start, end, remaining)
+
+    kinds = {name: traversal._Kind(kind.cover, kind.within, partial(walked, kind.walk))
+             for name, kind in routing._KINDS.items()}
+    with ExitStack() as stack:
+        for name, spy in (("_search", searched), ("_cross", crossed),
+                          ("_KINDS", kinds)):
+            stack.enter_context(mock.patch.object(routing, name, spy))
+        yield taken
 
 
 def brute_locate(division: TimeDivision, t: float) -> int:

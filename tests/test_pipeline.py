@@ -10,7 +10,10 @@ intervals match.
 The same cases check the engine's pruning against a copy of each graph
 that prunes nothing: the answers are the same bits and every pruned
 relaxation is one crossing the copy computed. They check its row-free
-exits against an engine without them: the same bits and counters. Their
+exits, and its own calls of the kernel's search and walk, against an
+engine that hands every crossing out of its departure interval to the
+kernel: the same bits and counters, one path per crossing and no interval
+walked twice. Their
 arcs check the O(1) bound of the coverage rule against its exact check,
 and their files check that loading, validation and ``build_ael`` give
 one verdict. After any mix of queries, the rows and window bounds that a
@@ -21,6 +24,7 @@ import copy
 import math
 import re
 from array import array
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -51,7 +55,7 @@ from tdroute import routing
 from tdroute.io_gen import _parse
 from tdroute.model import (REACH_MARGIN, _clears_coverage, _prefix_sums,
                            _window_bound, check_arc)
-from support import no_row_free
+from support import crossing_paths, no_exits
 
 STRATEGIES = {CONSTANT: ("att", "fatt", "b-fatt"), LINEAR: ("att-linear", "l-fatt")}
 NODES = 3
@@ -261,10 +265,14 @@ def outcome(query, *args):
     return tree_bits(result), result.stats
 
 
-def compare_without_row_free(case, hand_built):
+def compare_without_exits(case, hand_built):
     """Check every query of ``case`` under every strategy against an engine
-    with no row-free exits, over a table built from the graph or, when
-    ``hand_built``, by hand from its rows and bounds."""
+    that sends every crossing out of its departure interval to the kernel,
+    over a table built from the graph or, when ``hand_built``, by hand from
+    its rows and bounds: the same bits and QueryStats, or the same
+    ValueError. Each crossing that the engine sends down its own search or
+    walk, or to the kernel, is one that the reference hands the kernel, and
+    no interval walk is made that the reference does not make."""
     kind, policy, widths, arcs, departure = case
     try:
         graph = build(kind, policy, widths, arcs)
@@ -279,9 +287,18 @@ def compare_without_row_free(case, hand_built):
             queries += [(shortest_path_to, source, target, departure, strategy)
                         for target in range(NODES)]
             for query, *args in queries:
-                got = outcome(query, graph, table, *args)
-                with mock.patch.object(routing, "_row_free", no_row_free):
+                with crossing_paths() as taken:
+                    got = outcome(query, graph, table, *args)
+                with crossing_paths() as every, mock.patch.object(
+                        routing, "_exits", no_exits):
                     assert got == outcome(query, graph, table, *args)
+                # A walk from interval 0 is a periodic wrap's, past the
+                # horizon, not a crossing's own.
+                assert Counter((k, rest) for path, k, rest in taken
+                               if path != "walk" or k >= 0) <= Counter(
+                    (k, rest) for path, k, rest in every if path == "kernel")
+                assert (Counter(p for p in taken if p[0] == "walk")
+                        <= Counter(p for p in every if p[0] == "walk"))
 
 
 # 1 m/s over two 1 s intervals, departing 2^-6 s before the breakpoint: the
@@ -305,12 +322,32 @@ AT_REACH = 2.0**-6 + REACH_MARGIN
 @example((CONSTANT, PERIODIC, [1.0, 1.0], [(0, 1, 1.0, [1.0, 1.0])], 1.5), False)
 @example((CONSTANT, STATIC, [1.0, 1.0], [(0, 1, AT_REACH, [1.0, 1.0])],
           1.0 - 2.0**-6), True)
+# From 0.5 s the 2 m left past interval 0 is row[last] - row[0] exactly, the
+# most a search inside the horizon holds; an ulp more passes the horizon.
+@example((CONSTANT, STATIC, [1.0] * 3, [(0, 1, 2.5, [1.0] * 3)], 0.5), False)
+@example((CONSTANT, STATIC, [1.0] * 3,
+          [(0, 1, math.nextafter(2.5, 3.0), [1.0] * 3)], 0.5), False)
+@example((LINEAR, PERIODIC, [1.0] * 3,
+          [(0, 1, math.nextafter(2.5, 3.0), [1.0] * 4)], 0.5), False)
+# A scan that walks past the horizon into the static tail, or wraps once
+# into the next period.
+@example((CONSTANT, STATIC, [1.0, 1.0], [(0, 1, 5.0, [1.0, 2.0])], 0.5), False)
+@example((CONSTANT, PERIODIC, [1.0, 1.0], [(0, 1, 5.0, [1.0, 2.0])], 0.5), False)
+@example((LINEAR, PERIODIC, [1.0, 1.0], [(0, 1, 5.0, [1.0, 2.0, 1.0])], 0.5), False)
+# Every interval covers 10 m, so b-fatt's window is 3 intervals for the 24 m
+# arc, but its least span is 1 m (1 m/s times 1 s): the 19 m left past
+# interval 0 spans 19 least spans, and the window is the narrower bracket.
+@example((CONSTANT, STATIC, [10.0] + [1.0] * 6,
+          [(0, 1, 24.0, [1.0] + [10.0] * 6)], 5.0), False)
+@example((CONSTANT, STATIC, [10.0] + [1.0] * 6,
+          [(0, 1, 24.0, [1.0] + [10.0] * 6)], 5.0), True)
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 def test_row_free_exits_give_the_kernel_answers_bit_for_bit(case, hand_built):
     # The same arrivals, predecessors, arrival intervals and QueryStats as an
     # engine that hands every crossing out of its interval to the kernel, or
-    # the same ValueError.
-    compare_without_row_free(case, hand_built)
+    # the same ValueError, from the row-free exits and from the engine's own
+    # calls of the kernel's search and walk.
+    compare_without_exits(case, hand_built)
 
 
 def test_a_nan_first_reaches_the_kernel_and_raises_as_traverse_arc_does():
@@ -332,7 +369,7 @@ def test_a_nan_first_reaches_the_kernel_and_raises_as_traverse_arc_does():
                                      (shortest_path_to, 0, 1, 0.5, strategy)):
                     with pytest.raises(ValueError, match=message):
                         query(graph, table, *args)
-                    with mock.patch.object(routing, "_row_free", no_row_free):
+                    with mock.patch.object(routing, "_exits", no_exits):
                         with pytest.raises(ValueError, match=message):
                             query(graph, table, *args)
 

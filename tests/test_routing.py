@@ -46,7 +46,8 @@ from tdroute.landmarks import (
     potential,
     targeting,
 )
-from support import enumerate_arrivals, no_row_free, random_graph, random_profile
+from support import (crossing_paths, enumerate_arrivals, no_exits, random_graph,
+                     random_profile)
 
 
 def three_node_graph():
@@ -699,9 +700,10 @@ def assert_tree_crossings(graph, table, strategy, result):
 
 class TestSearchedExit:
     """The engine's loop finishes a same-interval crossing, and one that
-    ends in the next interval or in the static tail without a row, and hands
-    every other, searched ones included, to the crossing kernel; each gives
-    the single-arc door's bits."""
+    ends in the next interval or in the static tail without a row. It runs
+    the kernel's own search for a crossing that ends inside the horizon and
+    its walk for a scan, and hands every other crossing to the kernel; each
+    gives the single-arc door's bits."""
 
     def test_every_crossing_reproduces_the_kernel_bit_for_bit(self):
         rng = random.Random(91)
@@ -782,71 +784,10 @@ class TestSearchedExit:
 
     def test_each_crossing_out_of_its_interval_is_a_kernel_call_or_row_free(
             self, monkeypatch):
+        # Four paths: a row-free exit, the engine's own call of the kernel's
+        # search or walk, or one call of the kernel itself.
         graph = fine_grid(random.Random(92), CONSTANT, STATIC)
         table = build_ael(graph)
-        calls = []
-        kernel = routing._cross
-
-        def counted(*args):
-            # length, k, t, first and the arc's least span
-            calls.append((args[2], *args[6:9], args[10]))
-            return kernel(*args)
-
-        def door(*args):
-            raise AssertionError("the engine called the single-arc door")
-
-        monkeypatch.setattr(routing, "_cross", counted)
-        monkeypatch.setattr(routing, "_cross_at", door)
-        queries = ((0, 0.0), (12, 1800.0), (24, 3600.0),
-                   (0, graph.division.horizon))
-
-        def run():
-            calls.clear()
-            stats = [
-                shortest_paths(graph, table, source, departure, "fatt").stats
-                for source, departure in queries
-            ]
-            return list(calls), stats
-
-        made, stats = run()
-        monkeypatch.setattr(routing, "_row_free", no_row_free)
-        every, plain = run()
-        assert stats == plain
-        # Every relaxation here, inside the horizon and past it, leaves its
-        # departure interval: the distance the loop passes as covered there
-        # falls short of the arc. Without row-free exits each not pruned is
-        # one kernel call.
-        assert all(first < length for length, _, _, first, _ in every)
-        assert len(every) == sum(s.traversal_calls for s in stats) == 128
-        # With them, exactly the crossings that the next interval surely holds
-        # or that start the static tail skip the kernel: here those departing
-        # past the horizon. The bound clears every arc of the grid.
-        assert list(graph._reach) == [low * model.REACH_MARGIN for low in graph._low]
-        last = graph.division.intervals - 1
-
-        def row_free(call):
-            length, k, _, first, low = call
-            rest = length - first
-            return (0.0 < rest <= low * model.REACH_MARGIN and k < last
-                    or k == last and rest > 0.0)
-
-        exits = sum(map(row_free, every))
-        assert made == [call for call in every if not row_free(call)]
-        assert len(made) + exits == 128 and len(made) == 99
-        # The counters of the three in-horizon queries.
-        assert [(s.settled, s.traversal_calls, s.probes, s.steps)
-                for s in stats[:3]] == [(25, 33, 57, 0), (25, 34, 63, 0),
-                                    (25, 32, 64, 0)]
-
-    def test_a_rest_within_the_reach_needs_no_row_and_an_ulp_more_does(
-            self, monkeypatch):
-        # 1 m/s over two 1 s intervals: the arc's least span is 1 m and its
-        # reach 1 - 2^-5 m. Departing 2^-6 s before the breakpoint, it covers
-        # 2^-6 m in interval 0, and the rest, the reach or an ulp more, in
-        # interval 1. Either way the kernel would bracket interval 1 alone
-        # (one probe) or walk one step; only the ulp more calls it.
-        division = TimeDivision((0.0, 1.0, 2.0))
-        departure, first = 1.0 - 2.0**-6, 2.0**-6
         calls = []
         kernel = routing._cross
 
@@ -854,11 +795,72 @@ class TestSearchedExit:
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(routing, "_cross", counted)
+        def door(*args):
+            raise AssertionError("the engine called the single-arc door")
+
+        monkeypatch.setattr(routing, "_cross_at", door)
+        queries = ((0, 0.0), (12, 1800.0), (24, 3600.0),
+                   (0, graph.division.horizon))
+        # The bound clears every arc of the grid.
+        assert list(graph._reach) == [low * model.REACH_MARGIN for low in graph._low]
+        last = graph.division.intervals - 1
+
+        def path(call):
+            # The path the engine takes for a crossing that the engine with
+            # no exits hands to the kernel: None for a row-free exit.
+            _, _, length, row, _, _, k, _, first, _, low, _ = call
+            rest = length - first
+            if (0.0 < rest <= low * model.REACH_MARGIN and k < last
+                    or k == last and rest > 0.0):
+                return None
+            if row is None:
+                return "walk", k, rest
+            return "search" if rest <= row[last] - row[k] else "kernel", k, rest
+
+        def run(strategy):
+            return [shortest_paths(graph, table, source, departure, strategy).stats
+                    for source, departure in queries]
+
+        taken, counters = {}, {}
+        for strategy in ("fatt", "att"):
+            with crossing_paths() as paths:
+                stats = counters[strategy] = run(strategy)
+            with monkeypatch.context() as plain:
+                plain.setattr(routing, "_exits", no_exits)
+                plain.setattr(routing, "_cross", counted)
+                calls.clear()
+                assert run(strategy) == stats
+            # Every relaxation here, inside the horizon and past it, leaves
+            # its departure interval: the distance the loop passes as covered
+            # there falls short of the arc. Without exits each not pruned is
+            # one kernel call.
+            assert all(call[8] < call[2] for call in calls)
+            assert len(calls) == sum(s.traversal_calls for s in stats) == 128
+            # With them each takes the one path its rest and row predict: the
+            # row-free exits here depart past the horizon; every other
+            # crossing ends inside it, so the kernel is never called.
+            predicted = [p for p in map(path, calls) if p is not None]
+            assert paths == predicted
+            taken[strategy] = Counter(kind for kind, _, _ in paths)
+        assert taken == {"fatt": {"search": 99}, "att": {"walk": 99}}
+        # The counters of fatt's three in-horizon queries.
+        assert [(s.settled, s.traversal_calls, s.probes, s.steps)
+                for s in counters["fatt"][:3]] == [
+            (25, 33, 57, 0), (25, 34, 63, 0), (25, 32, 64, 0)]
+
+    def test_a_rest_within_the_reach_needs_no_row_and_an_ulp_more_does(self):
+        # 1 m/s over two 1 s intervals: the arc's least span is 1 m and its
+        # reach 1 - 2^-5 m. Departing 2^-6 s before the breakpoint, it covers
+        # 2^-6 m in interval 0, and the rest, the reach or an ulp more, in
+        # interval 1. Either way the kernel would bracket interval 1 alone
+        # (one probe) or walk one step; only the ulp more runs the search or
+        # the walk, which the engine calls itself, never the kernel.
+        division = TimeDivision((0.0, 1.0, 2.0))
+        departure, first = 1.0 - 2.0**-6, 2.0**-6
         for kind in (CONSTANT, LINEAR):
             profile = SpeedProfile(kind, (1.0,) * (2 + (kind == LINEAR)))
-            for rest, kernel_calls in ((model.REACH_MARGIN, 0),
-                                       (math.nextafter(model.REACH_MARGIN, 1.0), 1)):
+            for rest, row_free in ((model.REACH_MARGIN, True),
+                                   (math.nextafter(model.REACH_MARGIN, 1.0), False)):
                 graph = TdGraph(2, division, STATIC, kind,
                                 (Arc(0, 1, first + rest, profile),))
                 assert graph._reach[0] == model.REACH_MARGIN
@@ -866,25 +868,25 @@ class TestSearchedExit:
                 table = build_ael(graph)
                 results = {}
                 for strategy in strategies_for(kind):
-                    calls.clear()
-                    result = results[strategy] = shortest_paths(
-                        graph, table, 0, departure, strategy)
-                    assert len(calls) == kernel_calls
                     scans = strategy.startswith("att")
+                    with crossing_paths() as paths:
+                        result = results[strategy] = shortest_paths(
+                            graph, table, 0, departure, strategy)
+                    assert paths == ([] if row_free else
+                                     [("walk" if scans else "search", 0, rest)])
                     assert (result.stats.probes, result.stats.steps) == (
                         (0, 1) if scans else (1, 0))
                     assert result.arrival_interval[1] == 1
-                assert (table._rows[0] is None) == (kernel_calls == 0)
-                assert (table._bounds[0] is None) == (kernel_calls == 0
-                                                     or kind == LINEAR)
+                assert (table._rows[0] is None) == row_free
+                assert (table._bounds[0] is None) == (row_free or kind == LINEAR)
                 for strategy, result in results.items():
                     assert_tree_crossings(graph, table, strategy, result)
-                # A search over a table built by hand always calls the kernel.
+                # A search over a table built by hand takes no row-free exit.
                 by_hand = AelTable(table.rows, table.window_bounds)
                 for strategy in strategies_for(kind)[1:]:
-                    calls.clear()
-                    result = shortest_paths(graph, by_hand, 0, departure, strategy)
-                    assert len(calls) == 1
+                    with crossing_paths() as paths:
+                        result = shortest_paths(graph, by_hand, 0, departure, strategy)
+                    assert paths == [("search", 0, rest)]
                     assert result == results[strategy]
 
     def test_a_span_that_is_nan_is_refused_at_load(self):
@@ -1101,8 +1103,9 @@ class TestRowsOnFirstUse:
         # Arcs of 50-500 m at 5-30 m/s over 15-minute intervals, static: an
         # interval covers at least 4,500 m, so a crossing out of its interval
         # ends in the next one or, from the last, in the static tail. Both
-        # need no row, so no query calls the kernel or fills a row or bound,
-        # and every answer is the one of an engine with no row-free exits.
+        # need no row, so no query calls the kernel or its search, or fills a
+        # row or bound, and every answer is the one of an engine that hands
+        # every crossing out of its interval to the kernel.
         made = generate(GeneratorConfig(
             nodes=100, avg_degree=3.0, intervals=96, horizon=86400.0,
             speed_range=(5.0, 30.0), length_range=(50.0, 500.0), seed=8,
@@ -1129,16 +1132,17 @@ class TestRowsOnFirstUse:
             return out
 
         def kernel(*args):
-            raise AssertionError("the engine called the kernel")
+            raise AssertionError("the engine called the kernel or its search")
 
         table = build_ael(graph)
         with monkeypatch.context() as patched:
             patched.setattr(routing, "_cross", kernel)
+            patched.setattr(routing, "_search", kernel)
             got = run(table)
         assert table._rows == table._bounds == [None] * graph.arc_count
         # The next-interval exit counts a probe, so some crossing took it.
         assert sum(tree_stats.probes for _, _, _, tree_stats, *_ in got) > 0
-        monkeypatch.setattr(routing, "_row_free", no_row_free)
+        monkeypatch.setattr(routing, "_exits", no_exits)
         assert got == run(build_ael(graph))
 
     def test_traverse_arc_does_not_check_the_graph_arcs_again(self, monkeypatch):
