@@ -22,18 +22,20 @@ the label itself inside the horizon and past it the instant the policy
 maps the label to (``model.map_instant``), and ``room = points[k+1] -
 t``. Each relaxation computes ``first``, the distance coverable from t
 to the end of interval k, with the kind's ``cover``: ``values[k] *
-room`` inline for constant speeds. When ``first >= length`` the cost is
-the kind's ``within`` (``length / values[k]`` inline), and the crossing
-ends in interval k when ``label + cost < points[k+1]``: the kernel's own
-test and cost. Most crossings on realistic networks end so; none from a
-label past the horizon does, as there ``points[k+1] <= label``, and
-there the loop leaves a linear arc's ``within`` to the kernel. Any other
-crossing is a row-free exit, a search, a walk or one kernel call given k,
-t and ``first``, or none of them when the arc's least crossing time rules
-the crossing out (Pruned, below). The arrival keeps the interval ``stop``
-where the crossing ends when ``points[stop] <= label + cost <
-points[stop+1]``; otherwise ``locate_interval`` places it, as the
-single-arc door does. The strategy picks the procedure:
+room`` inline for constant speeds. The crossing ends in interval k when
+``first >= length`` and ``candidate = label + cost < points[k+1]``, the
+cost being the kind's ``within`` (``length / values[k]`` inline): the
+kernel's own test and cost, computed once, in that test, and kept as the
+arrival. Most crossings on realistic networks end so; none from a label
+past the horizon does, as there ``points[k+1] <= label``, and there the
+loop leaves a linear arc's ``within`` to the kernel, so no crossing
+computes it twice in the loop. A crossing that fails the test goes
+straight to the prune test. It is a row-free exit, a search, a walk or
+one kernel call given k, t and ``first``, or none of them when the arc's
+least crossing time rules the crossing out (Pruned, below). The arrival
+keeps the interval ``stop`` where the crossing ends when ``points[stop]
+<= label + cost < points[stop+1]``; otherwise ``locate_interval`` places
+it, as the single-arc door does. The strategy picks the procedure:
 
 ========== ======================================== ================
 strategy   procedure                                profile kind
@@ -145,7 +147,8 @@ without landmarks, use the label as the key: plain Dijkstra.
 
   - A search whose rest ends inside the horizon, ``rest <= row[last] -
     row[k]``, is one ``traversal._search`` of intervals k + 1 to ``last``
-    (``min(k + 1 + window, last)`` for b-fatt) from ``row[k]``.
+    (``min(k + 1 + window, last)`` for b-fatt) from ``row[k]``, read once
+    for this test and as the search's base.
   - A scan is one walk of the kind from interval k + 1. A walk that
     reaches the horizon goes on from there in ``traversal._past_horizon``,
     the static tail or the periodic wrap, which walks only the period it
@@ -466,19 +469,15 @@ def _run(
             # The distance coverable in interval k; _cover_constant inline
             first = ((speed := values[k]) * room if constant
                      else cover(values, points, k, t))
-            # The kernel's own test, so that a NaN first reaches the kernel
-            if not first >= length:
-                cost = inf  # the crossing does not end in interval k
-            elif constant:
-                cost = length / speed  # _within_constant, inline
-            else:
-                # Past the horizon end <= label: the exit cannot apply, and
-                # the kernel computes within itself.
-                cost = within(values, points, k, t, length) if label < end else inf
-            candidate = label + cost
-            if candidate < end:
-                # _cross's same-interval exit, arriving before the interval
-                # ends. Past the horizon end <= label, so it never applies.
+            # _cross's same-interval exit, arriving before the interval ends:
+            # the kernel's own test, so that a NaN first reaches the kernel,
+            # and its cost, _within_constant inline. Past the horizon end <=
+            # label, so it never applies, and a linear within is left to the
+            # kernel: each crossing computes it at most once here.
+            if first >= length and (candidate := label + (
+                    length / speed if constant
+                    else within(values, points, k, t, length) if label < end
+                    else inf)) < end:
                 interval = k
             else:
                 # No crossing of the arc beats its least crossing time, so
@@ -500,7 +499,7 @@ def _run(
                 elif direct and 0.0 < rest and (
                         rows is None or rest <= (
                             row := rows[arc_index] or ael._fill_row(arc_index)
-                        )[last] - row[k]):
+                        )[last] - (base := row[k])):
                     # A scan, or a search that ends inside the horizon: the
                     # kernel's own walk or search, from interval k + 1.
                     if rows is None:
@@ -508,7 +507,7 @@ def _run(
                         ops += (stop if stop <= last else last) - k
                     else:
                         stop, rest, probes = _search(
-                            row, row[k], k + 1, last if windows is None else min(
+                            row, base, k + 1, last if windows is None else min(
                                 k + 1 + (windows[arc_index]
                                          or ael._fill_bound(arc_index)), last),
                             rest, spans[arc_index])

@@ -12,8 +12,9 @@ families of procedures:
 * the search (``fatt`` / ``bounded_fatt`` for constant speeds, ``l_fatt``
   for linear ones) finds the arrival interval in precomputed per-arc
   prefix sums of the distance coverable in each interval (the
-  :class:`AelTable`) by interpolation, bounded by bisection's worst case
-  plus one: at most ceil(log2 K) + 2 probes per call, or
+  :class:`AelTable`) by interpolation, each guess clamped to what the
+  probes left can bisect, so that a call takes at most bisection's worst
+  case plus one: ceil(log2 K) + 2 probes, or
   ceil(log2(Q + 1)) + 2 when the search window can be bounded. A prefix
   row is a running sum of speed times width, close to linear, so the
   expected count is O(log log K) once the search is bracketed on both
@@ -21,8 +22,8 @@ families of procedures:
   span, slowest speed x narrowest width (``model._least_span``): no
   interval adds less, so a crossing with d m left ends within d / span
   intervals. On routebench's ``fine`` graphs (1-minute intervals) a
-  crossing's search takes 2.2 probes, against 5.3 with the far end at the
-  horizon.
+  crossing's search takes 1.8 probes, against 2.2 when a missed guess fell
+  back to bisection and 5.3 with the far end at the horizon.
 
 A speed kind enters the kernel only through three primitives (a
 :class:`_Kind`): the distance coverable from an instant to the end of its
@@ -57,8 +58,8 @@ once, whoever calls it.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
-prefix table: every interpolation or bisection step, or one when the
-bracket holds a single interval, which is then the answer). The checks of
+prefix table: every interpolated guess, or one when the bracket holds a
+single interval, which is then the answer). The checks of
 the bracket's far end are not probes, nor are constant-time guards such
 as the horizon-boundary test and period skipping. The kernel always
 counts: the door supplies a counter when the caller passes none.
@@ -485,8 +486,11 @@ def _search(row: array[float], base: float, stop: int, hi: int, rest: float,
     the prefix ``row`` reads ``base``, as (interval, the distance still
     left at its start, probes).
 
-    The search interpolates in the row between ``stop`` and the bracket's
-    far end, bounded by bisection's worst case plus one probe. The bracket
+    Every probe interpolates in the row between the bracket's ends. One
+    rule bounds it: when the probes left could not bisect what a missed
+    guess would leave, the guess is clamped into the middle window from
+    which a miss on either side leaves no more than they bisect. So a search
+    takes at most bisection's worst case plus one probe. The bracket
     is confined to ``hi`` and within it to ``rest / least_span`` intervals
     past ``stop``: every interval adds at least ``least_span``, the arc's
     (``model._least_span``), to the row. The far end is checked to hold the
@@ -528,20 +532,40 @@ def _search(row: array[float], base: float, stop: int, hi: int, rest: float,
     # = row[hi] - base, and low < rest once lo passes stop. Rows are finite
     # and increasing, so a guess divides by a positive finite span, takes a
     # fraction in [0, 1] of the n intervals and, clamped, lands in lo..hi: no
-    # NaN or inf arises. A probe guesses only while the probes left after it
-    # (spare) would still bisect the n intervals, n < 2**spare; each probe
-    # spends one, and a bisection halves n. So the loop ends within
-    # n.bit_length() + 1 probes, bisection's worst case plus one.
+    # NaN or inf arises. The first guess spends one of the n.bit_length()
+    # probes that bisect the bracket, and each later one spends one of
+    # spare, the probes left; n < 2**(spare + 1) holds at every later guess,
+    # so spare never falls below 0 before the answer. When n >= 2**spare, a
+    # miss could leave more than the spare probes bisect, and the guess is
+    # clamped to hi - most..lo + most, most = 2**spare - 1: a window inside
+    # lo..hi from which either miss leaves at most most intervals. So the
+    # search ends within n.bit_length() + 1 probes, bisection's worst case
+    # plus one. The first guess, which n < 2**n.bit_length() never clamps,
+    # is made before the loop, so a search that it ends sets up no budget.
     lo, hi, low = stop, end, 0.0
-    spare = probes = (hi - lo + 1).bit_length()
+    n = hi - lo + 1
+    stop = lo + floor(rest / high * n)
+    if stop > hi:
+        stop = hi
+    before = row[stop - 1] - base if stop else low
+    if rest < before:
+        hi, high = stop - 1, before
+    elif rest > (low := row[stop] - base):
+        lo = stop + 1
+    else:
+        return stop, rest - before, 1
+    spare = (probes := n.bit_length()) - 1
     while True:
         n = hi - lo + 1
+        stop = lo + floor((rest - low) / (high - low) * n)
         if n >> spare:
-            stop = (lo + hi) >> 1
-        else:
-            stop = lo + floor((rest - low) / (high - low) * n)
-            if stop > hi:
-                stop = hi
+            most = (1 << spare) - 1
+            if stop < hi - most:
+                stop = hi - most
+            elif stop > lo + most:
+                stop = lo + most
+        elif stop > hi:
+            stop = hi
         spare -= 1
         before = row[stop - 1] - base if stop else low
         if rest < before:

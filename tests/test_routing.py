@@ -846,7 +846,7 @@ class TestSearchedExit:
         # The counters of fatt's three in-horizon queries.
         assert [(s.settled, s.traversal_calls, s.probes, s.steps)
                 for s in counters["fatt"][:3]] == [
-            (25, 33, 57, 0), (25, 34, 63, 0), (25, 32, 64, 0)]
+            (25, 33, 55, 0), (25, 34, 58, 0), (25, 32, 61, 0)]
 
     def test_a_rest_within_the_reach_needs_no_row_and_an_ulp_more_does(self):
         # 1 m/s over two 1 s intervals: the arc's least span is 1 m and its
@@ -906,6 +906,36 @@ class TestSearchedExit:
             TdGraph(2, division, STATIC, LINEAR, (arc,))
         with pytest.raises(ValueError, match=f"^{message}$"):
             att_linear(arc, division, STATIC, 0.0)
+
+    def test_a_linear_crossing_computes_within_at_most_once_in_the_loop(
+            self, monkeypatch):
+        # The loop's same-interval test computes the crossing's cost once and
+        # keeps it; a crossing that fails the test computes within again only
+        # where it ends, so no crossing calls it twice from the loop. Most of
+        # these crossings end in their departure interval, so computing the
+        # test's cost twice would call within more often than crossings are
+        # computed.
+        loop, kind = routing._run.__code__, routing._KINDS[LINEAR]
+        calls = Counter()
+
+        def within(*args):
+            calls[sys._getframe(1).f_code is loop] += 1
+            return kind.within(*args)
+
+        monkeypatch.setattr(routing, "_KINDS", {
+            **routing._KINDS, LINEAR: traversal._Kind(kind.cover, within, kind.walk)})
+        rng = random.Random(93)
+        computed = 0
+        for policy in (STATIC, PERIODIC):
+            graph = grid(rng, LINEAR, policy, 5, (lambda: rng.uniform(1.0, 50.0),))
+            table = build_ael(graph)
+            horizon = graph.division.horizon
+            for strategy in strategies_for(LINEAR):
+                for departure in (0.0, rng.uniform(0.0, horizon), horizon - 1.0):
+                    result = shortest_paths(graph, table, rng.randrange(graph.nodes),
+                                            departure, strategy)
+                    computed += result.stats.traversal_calls
+        assert computed / 2 < calls[True] <= computed, (calls, computed)
 
 
 class TestPruning:
@@ -984,10 +1014,10 @@ class TestPruning:
                 assert_tree_crossings(graph, table, strategy, result)
 
 
-ENGINE_DIGEST = "92b9fcca58171dfdd607321cb407b0b2fc75952df2960c6a79fe2d5ad7482539"
+ENGINE_DIGEST = "18ac3c1f83627e990657190b3d300dbc1e4e9be65f40db7e3a5532110b765cd1"
 # The same corpus without the point-to-point stats: every one-to-all result,
 # every arc traversal and every point-to-point path and arrival.
-ANSWER_DIGEST = "8bba051765fcb206d9d736825fbaa3f1618088da9273694af2bae6e6548c9056"
+ANSWER_DIGEST = "9c8aa73ad3da9c6bb046f1f9204373be16bec339187339d5c87cd364d3b2a9ca"
 # The same corpus with every counter left out: the answers alone.
 COUNTER_FREE_DIGEST = "d62e22ad42cef347386ddc40869dd5e53dcd90be82f03b96cd2a402cb8bef1aa"
 

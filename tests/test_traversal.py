@@ -39,7 +39,7 @@ from tdroute import (
 )
 from tdroute import traversal
 from tdroute.model import _linear_span, _prefix_sums, speed_line
-from tdroute.traversal import _KINDS, _cross, _travel_time
+from tdroute.traversal import _KINDS, _cross, _search, _travel_time
 from support import (
     integrate_motion,
     random_division,
@@ -76,6 +76,33 @@ def search_arrival(row, start, a, hi, counter, least_span=0.0):
                         TimeDivision(points), policy, k, points[k + 1], 0.0,
                         hi - start, least_span, counter)
     return stop, a - (cost - (stop - start))
+
+
+def scan_answers(row, base, stop, hi, rest):
+    """The answers a linear scan of intervals ``stop``..``hi`` accepts for
+    :func:`tdroute.traversal._search` of ``rest`` m from the start of interval
+    ``stop``, where the row reads ``base``, as (interval, distance left at its
+    start): the first interval whose end holds the rest and, when the rest
+    ends exactly on that end short of ``hi``, the next one, entered with
+    nothing left (the search's ties)."""
+    for j in range(stop, hi + 1):
+        if rest <= (through := row[j] - base):
+            ties = {(j + 1, rest - through)} if rest == through and j < hi else set()
+            return {(j, rest - (row[j - 1] - base if j else 0.0))} | ties
+    return set()
+
+
+def bracket_end(row, base, stop, hi, rest, least_span):
+    """The far end of the search's bracket as its docstring sets it: rest /
+    least_span intervals past ``stop``, within ``hi``, or ``hi`` when that end
+    does not hold the rest."""
+    if rest <= least_span:
+        end = stop
+    elif rest < least_span * (hi - stop):
+        end = stop + int(rest / least_span)
+    else:
+        end = hi
+    return end if rest <= row[end] - base else hi
 
 
 class TestEffectiveLength:
@@ -692,7 +719,7 @@ class TestSearchArrival:
             residual = a - consumed
             assert 0.0 <= residual
             assert residual <= row[stop] - (row[stop - 1] if stop else 0.0) + 1e-9
-        assert counter == OpCounter(probes=2767)
+        assert counter == OpCounter(probes=2648)
 
     def test_boundary_tie_lands_with_zero_residual(self):
         row = [100.0, 130.0, 250.0, 350.0]
@@ -831,6 +858,61 @@ class TestSearchBudget:
             result = shortest_paths(graph, table, 0, 0.0, strategy)
             assert result.arrival[1] == want.cost
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(("wide", "spiky", "near-linear", "concave",
+                                  "equal")),
+           size=st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_a_search_answers_as_a_linear_scan_within_the_budget(self, seed, shape,
+                                                                 size):
+        # Near-linear rows put the first guess on the answer or one interval
+        # past it; concave ones, spans of 2 m then of 1 m, further past. A
+        # quarter of the rests end exactly on an interval's end, a tie. The
+        # span is the row's least, none, or one that understates or
+        # overstates it, so that the bracket falls back to hi.
+        rng = random.Random(seed)
+        if shape == "wide":
+            spans = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(size)]
+        elif shape == "spiky":
+            spans = [rng.choice((1e-6, 1.0, 1e6)) for _ in range(size)]
+        elif shape == "near-linear":
+            spans = [1.0 + rng.uniform(-1e-3, 1e-3) for _ in range(size)]
+        else:
+            cut = rng.randint(0, size) if shape == "concave" else 0
+            spans = [2.0] * cut + [1.0] * (size - cut)
+        row = array("d", accumulate(spans))
+        stop = rng.randrange(size)
+        hi = rng.randrange(stop, size)
+        base = row[stop - 1] if stop else 0.0
+        if rng.random() < 0.25:
+            rest = row[rng.randint(stop, hi)] - base
+        else:
+            rest = rng.uniform(0.0, row[hi] - base) or row[hi] - base
+        least = min(spans) * rng.choice((0.0, 0.5, 1.0, 3.0))
+        interval, left, probes = _search(row, base, stop, hi, rest, least)
+        assert (interval, left) in scan_answers(row, base, stop, hi, rest)
+        end = bracket_end(row, base, stop, hi, rest, least)
+        assert probes <= (end - stop + 1).bit_length() + 1
+
+    def test_a_guess_one_interval_past_the_answer_leaves_a_short_search(self):
+        # Fifteen spans of 2 m, then two of 1 m, the least span: the bracket
+        # is the whole row. 30.5 m ends in interval 15, and the first guess,
+        # 30.5 / 32 of 17 intervals, lands one past it. The four probes left
+        # could not bisect a miss among the 16 intervals left, so the search
+        # bisected them, six probes in all. It now interpolates again,
+        # clamped into the window from which a miss leaves what they bisect:
+        # 30.5 / 31 of 16 is the answer.
+        row = array("d", accumulate([2.0] * 15 + [1.0] * 2))
+        assert _search(row, 0.0, 0, 16, 30.5, 1.0) == (15, 0.5, 2)
+
+    def test_a_spike_that_every_guess_overshoots_spends_the_whole_budget(self):
+        # 1e6 m in interval 0, then 1 m an interval: each guess for 9e5 m
+        # lands past interval 0, as far as the window lets it, and the search
+        # takes 5.bit_length() + 1 probes. A window one interval wider would
+        # leave one interval more than the probes left bisect, and run out.
+        row = array("d", accumulate([1e6, 1.0, 1.0, 1.0, 1.0]))
+        assert _search(row, 0.0, 0, 4, 9e5, 0.0) == (0, 9e5, 4)
+
 
 class TestFifoProperty:
     @given(
@@ -911,7 +993,7 @@ class TestInterpolation:
 # SHA-256 of every strategy's exact output on pinned_corpus(). The
 # cross-strategy tests above compare at rel 1e-9; this one fails on any
 # changed bit of a cost, arrival interval, probe count or step count.
-PINNED_DIGEST = "e2ca65771d15a940cf8d3696a95b45faad5439b8f6b8a06ae380d253a8ecc92f"
+PINNED_DIGEST = "51b10e3b9899a71fec6028f1cfd0bfd7ec34a324b23c1ca3b7fc670939e82a7b"
 # The same corpus with the probe and step counts left out.
 PINNED_ANSWER_DIGEST = "4eadcbd2f3d396dbebfc7fff7fade2ce8cbc5c1b4f72c0fe54663807c38a07c2"
 
