@@ -162,13 +162,12 @@ class TdGraph:
     least crossing time, ``length / top speed``, bounds every crossing of
     the arc from below. ``_least`` is the one list of it: the engine prunes
     by it and the landmarks weigh arcs with it, and neither edits it.
-    ``_low`` holds each arc's least span (:func:`_least_span`), which bounds
-    the arrival search's bracket, and ``_reach`` the distance left past the
-    departure interval that the next interval surely holds, row step and
-    scan span alike: the least span times :data:`REACH_MARGIN` for an arc
-    the O(1) coverage bound clears, else 0. Each is one ``array('d')``, 8 B
-    an arc. Each arc is checked against the graph with :func:`check_arc` as
-    it is grouped, whose verdict sets its reach, so the first bad arc raises.
+    ``_reach`` holds the distance left past the departure interval that the
+    next interval surely holds, row step and scan span alike: the arc's
+    least span (:func:`_least_span`) times :data:`REACH_MARGIN` for an arc
+    the O(1) coverage bound clears, else 0, in one ``array('d')``, 8 B an
+    arc. Each arc is checked against the graph with :func:`check_arc` as it
+    is grouped, whose verdict sets its reach, so the first bad arc raises.
     """
 
     nodes: int
@@ -183,7 +182,6 @@ class TdGraph:
     _length: list[float] = field(init=False, repr=False, compare=False)
     _speeds: list[array[float]] = field(init=False, repr=False, compare=False)
     _least: list[float] = field(init=False, repr=False, compare=False)
-    _low: array[float] = field(init=False, repr=False, compare=False)
     _reach: array[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -200,12 +198,11 @@ class TdGraph:
         dst = [arc.dst + 0 for arc in arcs]
         length = [arc.length * 1.0 for arc in arcs]
         least = [arc.length / arc.profile._fastest for arc in arcs]
-        low = array("d", (_least_span(arc.profile, self.division) for arc in arcs))
         reach = _ZERO * len(arcs)
         outgoing: list[list[int]] = [[] for _ in range(self.nodes)]
         for index, arc in enumerate(arcs):
             if check_arc(arc, self.nodes, self.kind, self.division, self.policy):
-                reach[index] = low[index] * REACH_MARGIN
+                reach[index] = _least_span(arc.profile, self.division) * REACH_MARGIN
             outgoing[arc.src].append(index)
         object.__setattr__(
             self, "_adjacency", tuple(tuple(ids) for ids in outgoing)
@@ -214,7 +211,6 @@ class TdGraph:
         object.__setattr__(self, "_length", length)
         object.__setattr__(self, "_speeds", speeds)
         object.__setattr__(self, "_least", least)
-        object.__setattr__(self, "_low", low)
         object.__setattr__(self, "_reach", reach)
 
     @property
@@ -347,7 +343,9 @@ REACH_MARGIN = 1.0 - 2.0**-5
 def _least_span(profile: SpeedProfile, division: TimeDivision) -> float:
     """slowest speed x narrowest width: no interval adds less to the arc's
     prefix row, in exact arithmetic, for either kind (a linear span is its
-    interval's mean speed times its width). It may round to 0 or inf."""
+    interval's mean speed times its width). It bounds the O(1) coverage
+    check (:func:`_clears_coverage`) and the arc's reach. It may round to 0
+    or inf."""
     return profile._slowest * division._narrowest
 
 
@@ -413,7 +411,8 @@ def _window_bound(length: float, row: Sequence[float]) -> int:
 
 def _smallest_step(row: Sequence[float]) -> float:
     """The least distance any one interval adds to the prefix ``row``."""
-    return min(map(sub, row, (0.0, *row)))
+    # The first step is row[0] itself; the rest pair the row with itself.
+    return min(row[0], min(map(sub, row[1:], row), default=row[0]))
 
 
 def speed_at(graph: TdGraph, arc: Arc, t: float) -> float:

@@ -129,11 +129,10 @@ without landmarks, use the label as the key: plain Dijkstra.
     at least low in exact arithmetic, and rounding moves it by under ten
     ulps of high (a linear span's two products and their sum, then the
     running sum): under 2^-8 low, far inside the margin. So
-    ``rest <= reach`` passes the kernel's bracket test ``rest <=
-    least_span``, which makes interval k + 1 the whole bracket, and its
-    check ``rest <= row[k+1] - row[k]``: one probe. A scan's walk meets
-    interval k + 1's span first and stops there: one step. Either way the
-    kernel returns the cost above, ``lead + at`` being ``end - t``.
+    ``rest <= reach`` passes the search's first probe, the test of
+    interval k + 1, ``rest <= row[k+1] - row[k]``: one probe. A scan's walk
+    meets interval k + 1's span first and stops there: one step. Either
+    way the kernel returns the cost above, ``lead + at`` being ``end - t``.
   - Static tail: k is the last interval under "static" and ``rest > 0``.
     Interval k's row step and the walk add nothing, so the kernel returns
     ``(horizon - t) + rest / values[-1]`` and counts nothing.
@@ -416,7 +415,6 @@ def _run(
     lengths = graph._length
     speeds = graph._speeds
     least = graph._least
-    spans = graph._low
     reach, tail, direct = _exits(graph, ael, rows)
     n = graph.nodes
     arrival = [UNREACHABLE] * n
@@ -510,13 +508,13 @@ def _run(
                             row, base, k + 1, last if windows is None else min(
                                 k + 1 + (windows[arc_index]
                                          or ael._fill_bound(arc_index)), last),
-                            rest, spans[arc_index])
+                            rest)
                         ops += probes
                     if stop > last:
                         # The walk reached the horizon: on past it, not again.
                         cost, interval = _past_horizon(
                             kind, values, None, division, policy, t, rest, None,
-                            spans[arc_index], stats)
+                            stats)
                     else:
                         at = points[stop]
                         cost = (at - t) + (rest / values[stop] if constant else
@@ -534,7 +532,7 @@ def _run(
                         division, policy, k, t, first,
                         None if windows is None
                         else windows[arc_index] or ael._fill_bound(arc_index),
-                        spans[arc_index], stats,
+                        stats,
                     )
                 candidate = label + cost
                 # The door's locate_interval call, inline while the hint holds

@@ -12,18 +12,10 @@ families of procedures:
 * the search (``fatt`` / ``bounded_fatt`` for constant speeds, ``l_fatt``
   for linear ones) finds the arrival interval in precomputed per-arc
   prefix sums of the distance coverable in each interval (the
-  :class:`AelTable`) by interpolation, each guess clamped to what the
-  probes left can bisect, so that a call takes at most bisection's worst
-  case plus one: ceil(log2 K) + 2 probes, or
-  ceil(log2(Q + 1)) + 2 when the search window can be bounded. A prefix
-  row is a running sum of speed times width, close to linear, so the
-  expected count is O(log log K) once the search is bracketed on both
-  sides. Its far end is bounded before the first guess by the arc's least
-  span, slowest speed x narrowest width (``model._least_span``): no
-  interval adds less, so a crossing with d m left ends within d / span
-  intervals. On routebench's ``fine`` graphs (1-minute intervals) a
-  crossing's search takes 1.8 probes, against 2.2 when a missed guess fell
-  back to bisection and 5.3 with the far end at the horizon.
+  :class:`AelTable`): one probe of the first interval, then the standard
+  library's ``bisect_left`` over the rest, O(log K). A call takes at most
+  ceil(log2 K) + 1 probes, or ceil(log2(Q + 1)) + 1 when the search
+  window can be bounded to Q intervals.
 
 A speed kind enters the kernel only through three primitives (a
 :class:`_Kind`): the distance coverable from an instant to the end of its
@@ -58,11 +50,12 @@ once, whoever calls it.
 
 Instrumentation: an :class:`OpCounter` tallies ``steps`` (sequential
 interval visits) and ``probes`` (arrival-search iterations over the
-prefix table: every interpolated guess, or one when the bracket holds a
-single interval, which is then the answer). The checks of
-the bracket's far end are not probes, nor are constant-time guards such
-as the horizon-boundary test and period skipping. The kernel always
-counts: the door supplies a counter when the caller passes none.
+prefix table: one when the first interval holds the end, else that one
+plus bisection's worst case over the rest of the window). The reads that
+guard the bisection against rounding are not probes, nor are
+constant-time guards such as the horizon-boundary test and period
+skipping. The kernel always counts: the door supplies a counter when the
+caller passes none.
 """
 
 from __future__ import annotations
@@ -70,11 +63,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
-from math import floor
 from operator import lt
 
 from .landmarks import build_landmarks
@@ -87,7 +79,6 @@ from .model import (
     TdGraph,
     TimeDivision,
     _check_profile,
-    _least_span,
     _linear_span,
     _pack,
     _prefix_sums,
@@ -248,9 +239,8 @@ def fatt(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """Traversal time via interpolation search over prefix sums, bracketed
-    by the arc's least span and bounded by bisection's worst case plus one;
-    O(log K) (see :func:`_cross`)."""
+    """Traversal time via binary search over prefix sums; O(log K) (see
+    :func:`_search`)."""
     return _checked_cross(arc, _row(ael, index), division, CONSTANT, policy, tau,
                           counter, hint)
 
@@ -266,8 +256,7 @@ def bounded_fatt(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """Like :func:`fatt` with the search confined to Q intervals, and
-    within them to the least span's bracket when that is tighter.
+    """Like :func:`fatt` with the search confined to Q intervals.
 
     Valid only when every interval of the arc covers at least length/Q,
     which holds exactly when ``q >= compute_q(arc, ...)``; the cached
@@ -311,10 +300,7 @@ def l_fatt(
     hint: int | None = None,
     counter: OpCounter | None = None,
 ) -> TraversalResult:
-    """Interpolation-search traversal for linear-speed profiles, bracketed
-    by the arc's least span (a linear span is at least its interval's
-    slowest breakpoint speed times its width) and bounded by bisection's
-    worst case plus one; O(log K)."""
+    """Binary-search traversal for linear-speed profiles; O(log K)."""
     return _checked_cross(arc, _row(ael, index), division, LINEAR, policy, tau,
                           counter, hint)
 
@@ -368,7 +354,7 @@ def _cross_at(arc: Arc, row: array[float] | None, division: TimeDivision,
     primitives, values = _KINDS[kind], arc.profile.values
     first = primitives.cover(values, division.breakpoints, k, t)
     cost, stop = _cross(primitives, values, arc.length, row, division, policy, k,
-                        t, first, window, _least_span(arc.profile, division), counter)
+                        t, first, window, counter)
     return TraversalResult(cost, locate_interval(division, tau + cost, policy, stop))
 
 
@@ -404,7 +390,6 @@ def _cross(
     t: float,
     first: float,
     window: int | None,
-    least_span: float,
     counter: OpCounter,
 ) -> tuple[float, int]:
     """The crossing of an arc of ``length`` m with speed ``values`` of the
@@ -436,21 +421,20 @@ def _cross(
         counter.steps += min(stop, last) - k
     elif rest <= (reach := row[last] - row[k]):
         hi = last if window is None else min(k + 1 + window, last)
-        stop, rest, probes = _search(row, row[k], k + 1, hi, rest, least_span)
+        stop, rest, probes = _search(row, row[k], k + 1, hi, rest)
         counter.probes += probes
     else:
         stop, rest = last + 1, rest - reach
     if stop > last:
         return _past_horizon(kind, values, row, division, policy, t, rest, window,
-                             least_span, counter)
+                             counter)
     at = points[stop]
     return (at - t) + kind.within(values, points, stop, at, rest), stop
 
 
 def _past_horizon(kind: _Kind, values: array[float], row: array[float] | None,
                   division: TimeDivision, policy: str, t: float, rest: float,
-                  window: int | None, least_span: float,
-                  counter: OpCounter) -> tuple[float, int]:
+                  window: int | None, counter: OpCounter) -> tuple[float, int]:
     """The end of a crossing from ``t`` that reaches the horizon with
     ``rest`` m still to cover, as :func:`_cross` returns it.
 
@@ -473,107 +457,47 @@ def _past_horizon(kind: _Kind, values: array[float], row: array[float] | None,
         counter.steps += last + 1 + min(stop + 1, last)
     else:
         hi = last if window is None else min(window, last)
-        stop, rest, probes = _search(row, 0.0, 0, hi, rest, least_span)
+        stop, rest, probes = _search(row, 0.0, 0, hi, rest)
         counter.probes += probes
     at = points[stop]
     return (lead + at) + kind.within(values, points, stop, at, rest), stop
 
 
-def _search(row: array[float], base: float, stop: int, hi: int, rest: float,
-            least_span: float) -> tuple[int, float, int]:
+def _search(row: array[float], base: float, stop: int, hi: int,
+            rest: float) -> tuple[int, float, int]:
     """The arrival search: the interval among ``stop..hi`` that holds the
     end of ``rest`` m covered from the start of interval ``stop``, where
     the prefix ``row`` reads ``base``, as (interval, the distance still
     left at its start, probes).
 
-    Every probe interpolates in the row between the bracket's ends. One
-    rule bounds it: when the probes left could not bisect what a missed
-    guess would leave, the guess is clamped into the middle window from
-    which a miss on either side leaves no more than they bisect. So a search
-    takes at most bisection's worst case plus one probe. The bracket
-    is confined to ``hi`` and within it to ``rest / least_span`` intervals
-    past ``stop``: every interval adds at least ``least_span``, the arc's
-    (``model._least_span``), to the row. The far end is checked to hold the
-    rest, as ``hi`` is; when rounding or a span that overstates the row's
-    least step defeats it, the search falls back to ``hi``, so the span
-    moves probes, never an answer. A bracket of one interval is the answer
-    at one probe: on short arcs nearly every crossing out of its interval
-    ends so. When not even ``hi`` holds the rest (a window bound built by
-    hand too small), it raises ValueError.
+    The answer is the least j with ``rest <= row[j] - base``, a test
+    monotone in j, as rows strictly increase and rounding is monotone. The
+    first probe tests interval ``stop``: on short arcs nearly every
+    crossing out of its interval ends there. Otherwise ``bisect_left``
+    finds ``base + rest`` in the row after it, in C, and the answer is
+    moved to the least j that passes the test itself, which the rounding
+    of that sum can put an interval off: those reads are guards, not
+    probes. A bisection counts its worst case plus the first probe,
+    ``1 + n.bit_length()`` probes for the n = hi - stop intervals after
+    ``stop``. An empty window, or a ``hi`` that cannot hold the rest (a
+    window bound built by hand too small), raises ValueError.
 
     Ties: when the rest equals a prefix entry exactly, the end of interval
-    j, both j (covered to its end) and j + 1 (entered with nothing left)
-    pass the accept test, and the first of the two that a probe reaches
-    wins; a bracket that ends at j holds only j. Both put the arrival on
-    the same breakpoint, with costs that agree to rounding, and bit for bit
-    when a span over its speed gives back the interval's width, as integer
-    spans do.
+    j, the answer is j, covered to its end, not j + 1 entered with nothing
+    left; both put the arrival on the same breakpoint.
     """
-    # The bracket: every interval adds at least least_span to the row, so
-    # rest ends within rest / least_span intervals past stop. A span rounded
-    # to 0 fails the product test and one rounded to inf puts end on stop,
-    # so no quotient divides by 0 or truncates inf. Checked once, end or
-    # else hi: with row increasing, this makes the search terminate.
-    if rest <= least_span:
-        end = stop
-    elif rest < least_span * (hi - stop):
-        end = stop + int(rest / least_span)
-    else:
-        end = hi
-    if not (stop <= end <= hi and rest <= (high := row[end] - base)):
-        if not (stop <= hi and rest <= (high := row[hi] - base)):
-            raise ValueError(
-                f"arrival search: {rest!r} m exceeds intervals {stop}..{hi}"
-            )
-        end = hi
-    if end == stop:
-        return stop, rest, 1  # a one-interval bracket is its own answer
-    # Interpolation in lo..hi, where low = row[lo - 1] - base <= rest <= high
-    # = row[hi] - base, and low < rest once lo passes stop. Rows are finite
-    # and increasing, so a guess divides by a positive finite span, takes a
-    # fraction in [0, 1] of the n intervals and, clamped, lands in lo..hi: no
-    # NaN or inf arises. The first guess spends one of the n.bit_length()
-    # probes that bisect the bracket, and each later one spends one of
-    # spare, the probes left; n < 2**(spare + 1) holds at every later guess,
-    # so spare never falls below 0 before the answer. When n >= 2**spare, a
-    # miss could leave more than the spare probes bisect, and the guess is
-    # clamped to hi - most..lo + most, most = 2**spare - 1: a window inside
-    # lo..hi from which either miss leaves at most most intervals. So the
-    # search ends within n.bit_length() + 1 probes, bisection's worst case
-    # plus one. The first guess, which n < 2**n.bit_length() never clamps,
-    # is made before the loop, so a search that it ends sets up no budget.
-    lo, hi, low = stop, end, 0.0
-    n = hi - lo + 1
-    stop = lo + floor(rest / high * n)
-    if stop > hi:
-        stop = hi
-    before = row[stop - 1] - base if stop else low
-    if rest < before:
-        hi, high = stop - 1, before
-    elif rest > (low := row[stop] - base):
-        lo = stop + 1
-    else:
-        return stop, rest - before, 1
-    spare = (probes := n.bit_length()) - 1
-    while True:
-        n = hi - lo + 1
-        stop = lo + floor((rest - low) / (high - low) * n)
-        if n >> spare:
-            most = (1 << spare) - 1
-            if stop < hi - most:
-                stop = hi - most
-            elif stop > lo + most:
-                stop = lo + most
-        elif stop > hi:
-            stop = hi
-        spare -= 1
-        before = row[stop - 1] - base if stop else low
-        if rest < before:
-            hi, high = stop - 1, before
-        elif rest > (low := row[stop] - base):
-            lo = stop + 1
-        else:
-            return stop, rest - before, probes - spare
+    if stop <= hi and rest <= row[stop] - base:
+        return stop, rest, 1
+    if not (stop <= hi and rest <= row[hi] - base):
+        raise ValueError(f"arrival search: {rest!r} m exceeds intervals {stop}..{hi}")
+    # Interval stop fails the test and hi passes it, so both loops stop
+    # inside stop + 1..hi.
+    j = bisect_left(row, base + rest, stop + 1, hi)
+    while rest > row[j] - base:
+        j += 1
+    while rest <= (before := row[j - 1] - base):
+        j -= 1
+    return j, rest - before, 1 + (hi - stop).bit_length()
 
 
 @dataclass(frozen=True, slots=True)

@@ -98,7 +98,7 @@ class TestPinnedSweep:
         dict(strategies=("fatt", "b-fatt"), seed=6, span=0.01, window=50),
         dict(strategies=("att-linear", "l-fatt"), seed=5, policy="periodic"),
     )
-    DIGEST = "502669d8e698e16e455eb6f8a46d9ccf32f346a2f44d9111bcab0152a77c0c43"
+    DIGEST = "e339789508dffd347dac1c4b7af24848bfd4fd850e4ec9e47d5e0016e6102c2c"
 
     def test_sweep_csv_reproduces_the_pinned_digest(self):
         # Everything but wall_ns, the only column that is not deterministic.

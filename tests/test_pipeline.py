@@ -335,8 +335,8 @@ AT_REACH = 2.0**-6 + REACH_MARGIN
 @example((CONSTANT, PERIODIC, [1.0, 1.0], [(0, 1, 5.0, [1.0, 2.0])], 0.5), False)
 @example((LINEAR, PERIODIC, [1.0, 1.0], [(0, 1, 5.0, [1.0, 2.0, 1.0])], 0.5), False)
 # Every interval covers 10 m, so b-fatt's window is 3 intervals for the 24 m
-# arc, but its least span is 1 m (1 m/s times 1 s): the 19 m left past
-# interval 0 spans 19 least spans, and the window is the narrower bracket.
+# arc, though its least span is 1 m (1 m/s times 1 s): the window alone
+# confines the search of the 19 m left past interval 0.
 @example((CONSTANT, STATIC, [10.0] + [1.0] * 6,
           [(0, 1, 24.0, [1.0] + [10.0] * 6)], 5.0), False)
 @example((CONSTANT, STATIC, [10.0] + [1.0] * 6,

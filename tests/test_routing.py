@@ -728,10 +728,10 @@ class TestSearchedExit:
         # of interval 1 and arrives on the breakpoint 20.0, which interval 2
         # holds; arc 1 covers 150 m and arrives on the horizon 30.0. The
         # search stops in the interval that ends there: arc 0's 50 m left is
-        # its least span, 5 m/s for 10 s, so its bracket is interval 1 alone,
-        # and arc 1's interpolated guess clamps to the bracket's end,
-        # interval 2. So the loop's check of the kernel's interval fails and
-        # locate_interval places the arrival.
+        # interval 1's span, 5 m/s for 10 s, which the first probe accepts,
+        # and arc 1's 100 m left ends exactly at the end of interval 2, the
+        # least interval that holds it. So the loop's check of the kernel's
+        # interval fails and locate_interval places the arrival.
         # Arcs 2 and 3 then arrive past the horizon or depart on it; the
         # kernel's hint there is the static tail's last interval or the
         # periodic wrap's interval 0, and the loop places those arrivals too.
@@ -802,15 +802,18 @@ class TestSearchedExit:
         queries = ((0, 0.0), (12, 1800.0), (24, 3600.0),
                    (0, graph.division.horizon))
         # The bound clears every arc of the grid.
-        assert list(graph._reach) == [low * model.REACH_MARGIN for low in graph._low]
+        reach = {id(arc.profile.values):
+                 model._least_span(arc.profile, graph.division) * model.REACH_MARGIN
+                 for arc in graph.arcs}
+        assert list(graph._reach) == [reach[id(values)] for values in graph._speeds]
         last = graph.division.intervals - 1
 
         def path(call):
             # The path the engine takes for a crossing that the engine with
             # no exits hands to the kernel: None for a row-free exit.
-            _, _, length, row, _, _, k, _, first, _, low, _ = call
+            _, values, length, row, _, _, k, _, first, _, _ = call
             rest = length - first
-            if (0.0 < rest <= low * model.REACH_MARGIN and k < last
+            if (0.0 < rest <= reach[id(values)] and k < last
                     or k == last and rest > 0.0):
                 return None
             if row is None:
@@ -846,15 +849,16 @@ class TestSearchedExit:
         # The counters of fatt's three in-horizon queries.
         assert [(s.settled, s.traversal_calls, s.probes, s.steps)
                 for s in counters["fatt"][:3]] == [
-            (25, 33, 55, 0), (25, 34, 58, 0), (25, 32, 61, 0)]
+            (25, 33, 396, 0), (25, 34, 408, 0), (25, 32, 384, 0)]
 
     def test_a_rest_within_the_reach_needs_no_row_and_an_ulp_more_does(self):
         # 1 m/s over two 1 s intervals: the arc's least span is 1 m and its
         # reach 1 - 2^-5 m. Departing 2^-6 s before the breakpoint, it covers
         # 2^-6 m in interval 0, and the rest, the reach or an ulp more, in
-        # interval 1. Either way the kernel would bracket interval 1 alone
-        # (one probe) or walk one step; only the ulp more runs the search or
-        # the walk, which the engine calls itself, never the kernel.
+        # interval 1. Either way the kernel's search would accept interval 1
+        # at its first probe, or its walk stop there after one step; only the
+        # ulp more runs the search or the walk, which the engine calls
+        # itself, never the kernel.
         division = TimeDivision((0.0, 1.0, 2.0))
         departure, first = 1.0 - 2.0**-6, 2.0**-6
         for kind in (CONSTANT, LINEAR):
@@ -1014,10 +1018,10 @@ class TestPruning:
                 assert_tree_crossings(graph, table, strategy, result)
 
 
-ENGINE_DIGEST = "18ac3c1f83627e990657190b3d300dbc1e4e9be65f40db7e3a5532110b765cd1"
+ENGINE_DIGEST = "dc370ff9ff5fd10cc031c3903982d0d49c8c18ff7ec52c81758fa74c991cca9b"
 # The same corpus without the point-to-point stats: every one-to-all result,
 # every arc traversal and every point-to-point path and arrival.
-ANSWER_DIGEST = "9c8aa73ad3da9c6bb046f1f9204373be16bec339187339d5c87cd364d3b2a9ca"
+ANSWER_DIGEST = "c4220bee9ff6a6a059c1217703f32e615ccc6291d281f3d8b8f4ad213bdfe775"
 # The same corpus with every counter left out: the answers alone.
 COUNTER_FREE_DIGEST = "d62e22ad42cef347386ddc40869dd5e53dcd90be82f03b96cd2a402cb8bef1aa"
 

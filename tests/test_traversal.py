@@ -38,7 +38,7 @@ from tdroute import (
     shortest_paths,
 )
 from tdroute import traversal
-from tdroute.model import _linear_span, _prefix_sums, speed_line
+from tdroute.model import _least_span, _linear_span, _prefix_sums, speed_line
 from tdroute.traversal import _KINDS, _cross, _search, _travel_time
 from support import (
     integrate_motion,
@@ -62,47 +62,34 @@ def constant_setup(rng, policy):
     return graph.arcs[0], graph.division, build_ael(graph)
 
 
-def search_arrival(row, start, a, hi, counter, least_span=0.0):
-    """The kernel's arrival search over intervals ``start``..``hi``, its
-    bracket capped by ``least_span`` (0: not at all), as (interval j,
-    distance consumed before j). The intervals last one second each and the
-    speed is 1 m/s. The crossing of ``a`` m departs at the end of interval
-    start - 1 under static, or for start 0 at the end of the period under
-    periodic, with nothing covered there; so the searched cost is j - start
-    plus the residual distance."""
+def search_arrival(row, start, a, hi, counter):
+    """The kernel's arrival search over intervals ``start``..``hi``, as
+    (interval j, distance consumed before j). The intervals last one second
+    each and the speed is 1 m/s. The crossing of ``a`` m departs at the end
+    of interval start - 1 under static, or for start 0 at the end of the
+    period under periodic, with nothing covered there; so the searched cost
+    is j - start plus the residual distance."""
     points = tuple(map(float, range(len(row) + 1)))
     k, policy = (start - 1, STATIC) if start else (len(row) - 1, PERIODIC)
     cost, stop = _cross(_KINDS[CONSTANT], (1.0,) * len(row), a, row,
                         TimeDivision(points), policy, k, points[k + 1], 0.0,
-                        hi - start, least_span, counter)
+                        hi - start, counter)
     return stop, a - (cost - (stop - start))
 
 
-def scan_answers(row, base, stop, hi, rest):
-    """The answers a linear scan of intervals ``stop``..``hi`` accepts for
-    :func:`tdroute.traversal._search` of ``rest`` m from the start of interval
-    ``stop``, where the row reads ``base``, as (interval, distance left at its
-    start): the first interval whose end holds the rest and, when the rest
-    ends exactly on that end short of ``hi``, the next one, entered with
-    nothing left (the search's ties)."""
+def scan_answer(row, base, stop, hi, rest):
+    """What :func:`tdroute.traversal._search` of ``rest`` m from the start of
+    interval ``stop``, where the row reads ``base``, returns, found by a
+    linear scan of intervals ``stop``..``hi``: the least interval j whose
+    end holds the rest, the distance still left at its start, and the
+    probes, one when j is ``stop`` and bisection's worst case over the rest
+    of the window plus one otherwise; None when no interval holds it."""
     for j in range(stop, hi + 1):
-        if rest <= (through := row[j] - base):
-            ties = {(j + 1, rest - through)} if rest == through and j < hi else set()
-            return {(j, rest - (row[j - 1] - base if j else 0.0))} | ties
-    return set()
-
-
-def bracket_end(row, base, stop, hi, rest, least_span):
-    """The far end of the search's bracket as its docstring sets it: rest /
-    least_span intervals past ``stop``, within ``hi``, or ``hi`` when that end
-    does not hold the rest."""
-    if rest <= least_span:
-        end = stop
-    elif rest < least_span * (hi - stop):
-        end = stop + int(rest / least_span)
-    else:
-        end = hi
-    return end if rest <= row[end] - base else hi
+        if rest <= row[j] - base:
+            if j == stop:
+                return j, rest, 1
+            return j, rest - (row[j - 1] - base), 1 + (hi - stop).bit_length()
+    return None
 
 
 class TestEffectiveLength:
@@ -446,12 +433,12 @@ class TestFatt:
     def test_a_tie_met_inside_the_search_arrives_on_the_breakpoint(self, monkeypatch):
         # Integer speeds over 1 s intervals give integer spans, so each
         # length below ends exactly on breakpoint j + 1: the distance left
-        # equals a prefix entry, and intervals j and j + 1 both pass the
-        # accept test. j > k + 1 puts the tie past the departure's interval,
-        # and the arc's least span, 1 m, leaves the bracket wider than one
-        # interval. Either interval gives the same bits here. The search
-        # meets the tie at j on some lengths and at j + 1 on others, at its
-        # first probe or later; the door's locate_interval hint shows which.
+        # equals a prefix entry, and intervals j and j + 1 both hold the
+        # end. j > k + 1 puts the tie past the departure's interval, so the
+        # first probe fails and the bisection meets it. Either interval
+        # gives the same bits here; the search takes j, the least, which the
+        # door's locate_interval hint shows, and the door places the arrival
+        # in interval j + 1.
         rng = random.Random(23)
         intervals = 16
         division = TimeDivision(tuple(map(float, range(intervals + 1))))
@@ -478,16 +465,14 @@ class TestFatt:
                           for tau, length, end in cases]
                 cases += [(horizon - 0.5, speeds[-1] * 0.5 + row[j], horizon + j + 1.0)
                           for j in range(1, intervals - 1)]
-            met = Counter()
             for tau, length, end in cases:
                 counter = OpCounter()
                 result = fatt(arc_at(length), table, 0, division, policy, tau,
                               counter=counter)
                 assert result.cost == end - tau
                 assert result.arrival_interval == int(end) % intervals
-                entered = hints.pop() == result.arrival_interval
-                met[entered, counter.probes > 1] += 1
-            assert len(met) == 4, met
+                assert hints.pop() == (int(end) - 1) % intervals
+                assert counter.probes > 1
 
 
 class TestBoundedFatt:
@@ -713,22 +698,20 @@ class TestSearchArrival:
             start = rng.randrange(len(row))
             base = row[start - 1] if start else 0.0
             a = rng.uniform(0.0, row[-1] - base)
-            stop, consumed = search_arrival(row, start, a, len(row) - 1, counter,
-                                            min(spans))
+            stop, consumed = search_arrival(row, start, a, len(row) - 1, counter)
             assert start <= stop <= len(row) - 1
             residual = a - consumed
             assert 0.0 <= residual
             assert residual <= row[stop] - (row[stop - 1] if stop else 0.0) + 1e-9
-        assert counter == OpCounter(probes=2648)
+        assert counter == OpCounter(probes=4922)
 
     def test_boundary_tie_lands_with_zero_residual(self):
         row = [100.0, 130.0, 250.0, 350.0]
         counter = OpCounter()
         stop, consumed = search_arrival(row, 1, 30.0, 3, counter)
-        # 30 == row[1]-row[0]: "found" wins over "too large"
-        assert (stop, consumed) in ((2, 30.0), (1, 0.0))
-        if stop == 2:
-            assert 30.0 - consumed == 0.0
+        # 30 == row[1]-row[0]: interval 1, covered to its end, wins over
+        # interval 2 entered with nothing left, at the first probe.
+        assert (stop, consumed) == (1, 0.0)
         assert counter == OpCounter(probes=1)
 
     def test_residual_outside_the_window_raises(self):
@@ -739,6 +722,23 @@ class TestSearchArrival:
             with pytest.raises(ValueError, match="arrival search"):
                 search_arrival(row, start, a, hi, counter)
             assert counter == OpCounter()
+
+    def test_an_arc_whose_least_span_underflows_searches_as_it_scans(self):
+        # The slowest speed and the narrowest interval lie in different
+        # intervals here, each span is 1e-200 m, and their product, the
+        # arc's least span, underflows to 0: the graph keeps the arc, and
+        # its searches answer as its scans do.
+        division = TimeDivision((0.0, 1e-200, 1.0))
+        arc = make_arc(1.5e-200, CONSTANT, (1.0, 1e-200))
+        assert _least_span(arc.profile, division) == 0.0
+        graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
+        table = build_ael(graph)
+        want = att(arc, division, STATIC, 0.0)
+        assert want.cost == 0.5 + 1e-200
+        assert fatt(arc, table, 0, division, STATIC, 0.0) == want
+        for strategy in ("att", "fatt", "b-fatt"):
+            result = shortest_paths(graph, table, 0, 0.0, strategy)
+            assert result.arrival[1] == want.cost
 
     def test_sequential_scan_settles_where_predicate_holds(self):
         rng = random.Random(62)
@@ -773,11 +773,10 @@ class TestSearchArrival:
 
 
 class TestSearchBudget:
-    """Rows built against interpolation, whose guesses land far from the
-    end: each search still takes at most bisection's worst case plus one
-    probe, and finds the interval bisection finds, whether its bracket is
-    capped by the row's least span, by a span that overstates it (so the
-    capped end fails its check and the search falls back), or not at all."""
+    """Rows that grow, shrink, spike or alternate: each search finds the
+    interval bisection finds, in one probe when the first interval holds
+    the end and in bisection's worst case over the rest plus one
+    otherwise."""
 
     @staticmethod
     def rows(k):
@@ -791,72 +790,31 @@ class TestSearchBudget:
             "alternating": [1e6 if j % 2 else 1.0 for j in range(k)],
             "equal": [1.0] * k,
         }
-        return {name: (list(accumulate(spans)), min(spans))
-                for name, spans in shapes.items()}
+        return {name: list(accumulate(spans)) for name, spans in shapes.items()}
 
     def test_every_target_within_bisections_worst_case_plus_one(self):
         sizes = sorted({*range(2, 33), *(2**i + d for i in range(6, 13)
                                          for d in (-1, 0, 1) if 2**i + d <= 4096)})
-        fell_back = capped = 0
         for k in sizes:
             points = tuple(map(float, range(k + 1)))
             division = TimeDivision(points)
             speeds = (1.0,) * k
             q = max(1, k // 3)
-            for name, (row, least) in self.rows(k).items():
+            for name, row in self.rows(k).items():
                 packed = array("d", row)
-                for window, hi, budget in (
-                    (None, k - 1, math.ceil(math.log2(k)) + 2),
-                    (q, min(q, k - 1), math.ceil(math.log2(q + 1)) + 2),
-                ):
+                for window, hi in ((None, k - 1), (q, min(q, k - 1))):
                     for j in range(hi + 1):
                         # Mid-span, so one interval holds the end. Departing
                         # at the horizon under periodic, the search starts
                         # at interval 0 with the whole length left.
                         rest = ((row[j - 1] if j else 0.0) + row[j]) / 2.0
-                        for span in (0.0, least, 3.0 * least):
-                            counter = OpCounter()
-                            _, stop = _cross(_KINDS[CONSTANT], speeds, rest, packed,
-                                             division, PERIODIC, k - 1, points[-1],
-                                             0.0, window, span, counter)
-                            assert stop == bisect_left(row, rest) == j, (name, k, j)
-                            assert counter.probes <= budget, (name, k, window, j)
-                        # Whether the true span caps the bracket short of hi,
-                        # and whether the overstated one caps it short of j.
-                        capped += int(rest / least) < hi
-                        fell_back += int(rest / (3.0 * least)) < j
-        # Both paths ran often (42,278 and 41,682 of 138,935 targets).
-        assert capped > 40_000 and fell_back > 40_000, (capped, fell_back)
-
-    def test_a_span_out_of_range_leaves_the_bracket_to_the_window(self):
-        # A span of 0, subnormal or inf, or one far off the row's steps,
-        # neither divides by 0, truncates inf nor reads past the window.
-        spans = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        row, k = list(accumulate(spans)), len(spans)
-        points = tuple(map(float, range(k + 1)))
-        for span in (0.0, 5e-324, 1e-300, 1e300, math.inf):
-            for window in (None, 3):
-                for j in range(k if window is None else window + 1):
-                    rest = ((row[j - 1] if j else 0.0) + row[j]) / 2.0
-                    _, stop = _cross(_KINDS[CONSTANT], (1.0,) * k, rest,
-                                     array("d", row), TimeDivision(points), PERIODIC,
-                                     k - 1, points[-1], 0.0, window, span, OpCounter())
-                    assert stop == bisect_left(row, rest) == j, (span, window, j)
-        # The slowest speed and the narrowest interval lie in different
-        # intervals here, each span is 1e-200 m, and their product, the
-        # arc's least span, underflows to 0: the graph keeps the arc, and
-        # its searches answer as its scans do.
-        division = TimeDivision((0.0, 1e-200, 1.0))
-        arc = make_arc(1.5e-200, CONSTANT, (1.0, 1e-200))
-        graph = TdGraph(2, division, STATIC, CONSTANT, (arc,))
-        assert list(graph._low) == [0.0]
-        table = build_ael(graph)
-        want = att(arc, division, STATIC, 0.0)
-        assert want.cost == 0.5 + 1e-200
-        assert fatt(arc, table, 0, division, STATIC, 0.0) == want
-        for strategy in ("att", "fatt", "b-fatt"):
-            result = shortest_paths(graph, table, 0, 0.0, strategy)
-            assert result.arrival[1] == want.cost
+                        counter = OpCounter()
+                        _, stop = _cross(_KINDS[CONSTANT], speeds, rest, packed,
+                                         division, PERIODIC, k - 1, points[-1],
+                                         0.0, window, counter)
+                        assert stop == bisect_left(row, rest) == j, (name, k, j)
+                        assert counter.probes == (1 + hi.bit_length() if j else 1), (
+                            name, k, window, j)
 
     @given(seed=st.integers(0, 2**32 - 1),
            shape=st.sampled_from(("wide", "spiky", "near-linear", "concave",
@@ -865,11 +823,8 @@ class TestSearchBudget:
     @settings(max_examples=300, deadline=None)
     def test_a_search_answers_as_a_linear_scan_within_the_budget(self, seed, shape,
                                                                  size):
-        # Near-linear rows put the first guess on the answer or one interval
-        # past it; concave ones, spans of 2 m then of 1 m, further past. A
-        # quarter of the rests end exactly on an interval's end, a tie. The
-        # span is the row's least, none, or one that understates or
-        # overstates it, so that the bracket falls back to hi.
+        # A quarter of the rests end exactly on an interval's end, a tie
+        # that the interval ending there wins, not the next one.
         rng = random.Random(seed)
         if shape == "wide":
             spans = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(size)]
@@ -888,30 +843,23 @@ class TestSearchBudget:
             rest = row[rng.randint(stop, hi)] - base
         else:
             rest = rng.uniform(0.0, row[hi] - base) or row[hi] - base
-        least = min(spans) * rng.choice((0.0, 0.5, 1.0, 3.0))
-        interval, left, probes = _search(row, base, stop, hi, rest, least)
-        assert (interval, left) in scan_answers(row, base, stop, hi, rest)
-        end = bracket_end(row, base, stop, hi, rest, least)
-        assert probes <= (end - stop + 1).bit_length() + 1
+        assert _search(row, base, stop, hi, rest) == scan_answer(row, base, stop, hi,
+                                                                 rest)
 
-    def test_a_guess_one_interval_past_the_answer_leaves_a_short_search(self):
-        # Fifteen spans of 2 m, then two of 1 m, the least span: the bracket
-        # is the whole row. 30.5 m ends in interval 15, and the first guess,
-        # 30.5 / 32 of 17 intervals, lands one past it. The four probes left
-        # could not bisect a miss among the 16 intervals left, so the search
-        # bisected them, six probes in all. It now interpolates again,
-        # clamped into the window from which a miss leaves what they bisect:
-        # 30.5 / 31 of 16 is the answer.
-        row = array("d", accumulate([2.0] * 15 + [1.0] * 2))
-        assert _search(row, 0.0, 0, 16, 30.5, 1.0) == (15, 0.5, 2)
-
-    def test_a_spike_that_every_guess_overshoots_spends_the_whole_budget(self):
-        # 1e6 m in interval 0, then 1 m an interval: each guess for 9e5 m
-        # lands past interval 0, as far as the window lets it, and the search
-        # takes 5.bit_length() + 1 probes. A window one interval wider would
-        # leave one interval more than the probes left bisect, and run out.
-        row = array("d", accumulate([1e6, 1.0, 1.0, 1.0, 1.0]))
-        assert _search(row, 0.0, 0, 4, 9e5, 0.0) == (0, 9e5, 4)
+    def test_the_exact_test_moves_the_bisections_answer_either_way(self):
+        # bisect_left finds base + rest in the row, and the sum rounds. 0.2 +
+        # 0.5 rounds to row[2], 0.7, but 0.7 - 0.2 rounds to
+        # 0.49999999999999994, short of the 0.5 left: the answer is one
+        # interval later. 0.7 + 2.2 rounds to 2.9000000000000004, past
+        # row[2], 2.9, yet 2.9 - 0.7 is 2.2: the answer is one earlier.
+        for spans, rest, found, answer in (((0.2, 0.2, 0.3, 0.1), 0.5, 2, 3),
+                                           ((0.7, 0.2, 2.0, 0.1), 2.2, 3, 2)):
+            row = array("d", accumulate(spans))
+            base = row[0]
+            assert bisect_left(row, base + rest, 2, 3) == found
+            assert _search(row, base, 1, 3, rest) == (
+                answer, rest - (row[answer - 1] - base), 3)
+            assert _search(row, base, 1, 3, rest) == scan_answer(row, base, 1, 3, rest)
 
 
 class TestFifoProperty:
@@ -993,7 +941,7 @@ class TestInterpolation:
 # SHA-256 of every strategy's exact output on pinned_corpus(). The
 # cross-strategy tests above compare at rel 1e-9; this one fails on any
 # changed bit of a cost, arrival interval, probe count or step count.
-PINNED_DIGEST = "51b10e3b9899a71fec6028f1cfd0bfd7ec34a324b23c1ca3b7fc670939e82a7b"
+PINNED_DIGEST = "6b23906041ca76b0f6f67904db583e57af4391098d6c6a71faacf75d8a9e503c"
 # The same corpus with the probe and step counts left out.
 PINNED_ANSWER_DIGEST = "4eadcbd2f3d396dbebfc7fff7fade2ce8cbc5c1b4f72c0fe54663807c38a07c2"
 
